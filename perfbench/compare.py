@@ -13,7 +13,9 @@ the bound in BENCHMARK.json:
   worse       the change's median is worse by more than the bound
   unresolved  the base's own spread (quartile distance / median) exceeds
               the bound, so the data cannot tell
-  better / same
+  better      the median is better by more than the base's spread and
+              the two sides' quartile ranges do not overlap
+  same        otherwise
 Exits 1 when any metric is worse, else 0.
 """
 import json
@@ -92,7 +94,12 @@ def main(argv):
                 elif spread > rule["bound"]:
                     verdict = "unresolved"
                 else:
-                    verdict = "better" if delta < -spread else "same"
+                    # Quartile ranges on the metric's better side: for
+                    # "higher" the change's q1 must clear the base's q3.
+                    apart = (c[2] < b[0] if rule["better"] == "lower"
+                             else c[0] > b[2])
+                    verdict = ("better" if delta < -spread and apart
+                               else "same")
             print("%-15s %-28s base %.6g [%.6g, %.6g] n=%d  change %.6g "
                   "[%.6g, %.6g] n=%d  %s" % (workload, name, b[1], b[0], b[2],
                                              len(sides[0]), c[1], c[0], c[2],

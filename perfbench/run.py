@@ -5,13 +5,18 @@
                              [--golden-seed N] [--trace-out FILE]
 
 Run from the repository root.  Configures and builds perfbench/ (which
-builds the repository's dmr library from source) into $CARGO_TARGET_DIR
-or .bench_build/, then runs the benchmark program with the same arguments.
+builds the repository's dmr library from source) into a directory under
+$CARGO_TARGET_DIR or .bench_build/ named after this source tree, then
+runs the benchmark program with the same arguments.  Every call
+reconfigures (cheap once the cache exists), so the git sha baked in at
+configure time is the current one, and two checkouts sharing one
+$CARGO_TARGET_DIR never build each other's sources.
 Build output goes to stderr; the program's stdout is passed through, and
 its last line is the result object.  Exits non-zero without a result when
 the build fails (for example when the repository sources are missing).
 """
 import fcntl
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,19 +26,22 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 def build_dir():
     root = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
-    return os.path.join(os.path.abspath(root), "perfbench")
+    source = hashlib.sha1(HERE.encode()).hexdigest()[:12]
+    return os.path.join(os.path.abspath(root), "perfbench-" + source)
 
 
 def build(out):
-    """Configure and build once per checkout; later calls are no-ops."""
+    """Configure and build; with a cache present both steps are cheap."""
     os.makedirs(out, exist_ok=True)
-    generator = ["-G", "Ninja"] if _have("ninja") else []
+    generator = []
+    if (not os.path.exists(os.path.join(out, "CMakeCache.txt"))
+            and _have("ninja")):
+        generator = ["-G", "Ninja"]
     # A lock file keeps concurrent invocations from building at once.
     with open(os.path.join(out, ".lock"), "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        if not os.path.exists(os.path.join(out, "CMakeCache.txt")):
-            _run(["cmake", "-S", HERE, "-B", out, "-DCMAKE_BUILD_TYPE=Release"]
-                 + generator)
+        _run(["cmake", "-S", HERE, "-B", out, "-DCMAKE_BUILD_TYPE=Release"]
+             + generator)
         _run(["cmake", "--build", out, "--target", "dmr_perfbench",
               "trace_validate", "--parallel", "4"])
 

@@ -3,16 +3,13 @@
 //   dmr_perfbench --workload W --seed N --seconds S --trace 0|1
 //                 [--golden-seed N] [--trace-out FILE] [--tiny]
 //                 [--inject bad-golden|corrupt-recv]
-//   dmr_perfbench --hold-events N [--hold-queue Q] [--seed N]
 //
-// Workloads: fig10, archive_hiload, fed_checked, redistribute (README.md
-// says why each exists).  The last stdout line is the result object
+// Workloads: fig10, archive_hiload, fed_checked (README.md says why each
+// exists).  The last stdout line is the result object
 // {"correct", "attempted", "failed", "metrics"}; the line before it is the
 // full record (host fingerprint, workload detail, the same metrics) that
 // compare.py reads.  --trace 0 reports the end-to-end metrics, --trace 1
 // the per-layer ones, and writes the run's spans as Chrome trace JSON.
-// --hold-events runs only the L0 hold-model rung and prints the number of
-// events it dispatched.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -159,9 +156,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --workload W --seed N --seconds S --trace 0|1 "
                "[--golden-seed N] [--trace-out FILE] [--tiny] "
-               "[--inject bad-golden|corrupt-recv]\n"
-               "       %s --hold-events N [--hold-queue Q] [--seed N]\n",
-               argv0, argv0);
+               "[--inject bad-golden|corrupt-recv]\n",
+               argv0);
   return 2;
 }
 
@@ -180,8 +176,6 @@ bool parse_u64(const char* text, std::uint64_t* out) {
 int main(int argc, char** argv) {
   using namespace perfbench;
   Options options;
-  std::uint64_t hold_events = 0;
-  std::uint64_t hold_queue = 1;
   bool seconds_given = false, trace_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -215,33 +209,12 @@ int main(int argc, char** argv) {
       if (options.inject != "bad-golden" && options.inject != "corrupt-recv") {
         return usage(argv[0]);
       }
-    } else if (arg == "--hold-events" && has_value &&
-               parse_u64(argv[i + 1], &value)) {
-      hold_events = value;
-      ++i;
-    } else if (arg == "--hold-queue" && has_value &&
-               parse_u64(argv[i + 1], &value)) {
-      hold_queue = value;
-      ++i;
     } else {
       return usage(argv[0]);
     }
   }
 
-  if (hold_events > 0) {
-    double seconds = 0.0;
-    const std::uint64_t dispatched = hold_model(
-        hold_events, static_cast<std::size_t>(hold_queue), options.seed,
-        &seconds);
-    std::printf("{\"requested\": %llu, \"dispatched\": %llu, \"seconds\": %s}\n",
-                static_cast<unsigned long long>(hold_events),
-                static_cast<unsigned long long>(dispatched),
-                json_number(seconds).c_str());
-    return dispatched == hold_events ? 0 : 1;
-  }
-
-  const bool simulation = is_simulation_workload(options.workload);
-  if ((!simulation && options.workload != "redistribute") || !seconds_given ||
+  if (!is_simulation_workload(options.workload) || !seconds_given ||
       !trace_given) {
     return usage(argv[0]);
   }
@@ -249,8 +222,7 @@ int main(int argc, char** argv) {
   Spans spans(options.trace, options.workload, options.seed);
   Outcome outcome;
   try {
-    outcome = simulation ? run_simulation(options, spans)
-                         : run_redistribute(options, spans);
+    outcome = run_simulation(options, spans);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "perfbench: %s: %s\n", options.workload.c_str(),
                  error.what());
@@ -304,7 +276,7 @@ int main(int argc, char** argv) {
   run_fields["workload"] = options.workload;
   run_fields["seed"] = std::to_string(options.seed);
   run_fields["seconds"] = json_number(options.seconds);
-  run_fields["trace"] = options.trace ? "1" : "0";
+  run_fields["trace"] = std::to_string(options.trace ? 1 : 0);
   std::printf("{\"perfbench_record\": {\"host\": %s, \"run\": %s, "
               "\"correct\": %s, \"attempted\": %lld, \"failed\": %lld, "
               "\"metrics\": %s}}\n",

@@ -1,12 +1,11 @@
-// The redistribute workload: real-mode resizes on threaded ranks through
-// the three dmr::redist strategies, moving micro_redistribute's buffer set
-// (a Block array of doubles, a BlockCyclic array of ints and a Replicated
-// header).  Shapes keep old + new ranks within four threads.
+// The real-mode rung of fig10's traced run: resizes on threaded ranks
+// through the three dmr::redist strategies, moving micro_redistribute's
+// buffer set (a Block array of doubles, a BlockCyclic array of ints and a
+// Replicated header).  Shapes keep old + new ranks within four threads.
 //
-// One operation is one resize.  Set-up is registering and filling the old
-// ranks' buffers; a resize runs from the spawn to the last new rank's
-// receive; afterwards every new rank checks every element it received
-// against the sender's seeded fill pattern.  A resize fails on a rank
+// A resize runs from the spawn to the last new rank's receive; afterwards
+// every new rank checks every element it received against the sender's
+// seeded fill pattern.  A resize counts as one failed operation on a rank
 // failure, a content mismatch, or fewer bytes moved than registered.
 #include <unistd.h>
 
@@ -126,7 +125,6 @@ struct Resize {
   const char* strategy = "";
   Shape shape{};
   double plan_seconds = 0.0;
-  double setup_seconds = 0.0;
   double spawn_ms = 0.0;
   double resize_seconds = 0.0;
   double send_ms = 0.0;
@@ -228,7 +226,6 @@ Resize resize(redist::Strategy& strategy, const char* name, const Shape& shape,
     spans.record("send", log.send_start, log.send_end, 1);
     spans.record("recv", log.recv_start, log.recv_end, 2);
     spans.record("verify", log.recv_end, log.verify_end, 2);
-    r.setup_seconds = seconds_between(log.fill_start, log.fill_end);
     r.spawn_ms = seconds_between(log.spawn_start, log.child_entry) * 1.0e3;
     r.resize_seconds = seconds_between(log.spawn_start, log.recv_end);
   }
@@ -284,17 +281,10 @@ std::vector<double> collect(const std::vector<Resize>& resizes, Fn&& fn) {
   return values;
 }
 
-/// Resize cycles until `seconds` have passed (at least `min_cycles`).
-struct Cycles {
-  std::vector<Resize> resizes;
-  /// Peak RSS after the first cycle (later cycles repeat its buffers).
-  double peak_rss_mb = 0.0;
-  /// Resize seconds per (shape, strategy), one entry per cycle.
-  std::vector<std::vector<double>> combo_seconds;
-};
-
-Cycles run_cycles(const Options& options, double seconds, int min_cycles,
-                  Spans& spans, Outcome& outcome) {
+/// Resize cycles (every shape through every strategy) until `seconds`
+/// have passed, at least one.
+std::vector<Resize> run_cycles(const Options& options, double seconds,
+                               Spans& spans, Outcome& outcome) {
   const std::size_t elements =
       options.tiny ? std::size_t(1) << 12 : std::size_t(1) << 20;
   outcome.detail["elements"] = std::to_string(elements);
@@ -306,8 +296,7 @@ Cycles run_cycles(const Options& options, double seconds, int min_cycles,
       ("ckpt-" + std::to_string(static_cast<long long>(::getpid())));
   std::filesystem::create_directories(shard_dir);
 
-  Cycles run;
-  run.combo_seconds.resize(std::size(kShapes) * std::size(kStrategies));
+  std::vector<Resize> resizes;
   const Clock::time_point start = Clock::now();
   bool corrupt = options.inject == "corrupt-recv";
   {
@@ -326,30 +315,28 @@ Cycles run_cycles(const Options& options, double seconds, int min_cycles,
       }
     }
     int cycles = 0;
-    while (cycles < min_cycles ||
-           seconds_between(start, Clock::now()) < seconds) {
+    while (cycles == 0 || seconds_between(start, Clock::now()) < seconds) {
       Spans::Scope cycle(spans, "cycle");
       std::size_t s = 0;
       for (const Shape& shape : kShapes) {
         for (const char* name : kStrategies) {
           const Resize r = resize(
               *strategies[s], name, shape, elements,
-              options.seed + static_cast<std::uint64_t>(run.resizes.size()),
+              options.seed + static_cast<std::uint64_t>(resizes.size()),
               corrupt, spans, outcome);
           corrupt = false;
-          if (!r.failed) run.combo_seconds[s].push_back(r.resize_seconds);
-          run.resizes.push_back(r);
+          resizes.push_back(r);
           ++s;
         }
       }
-      if (cycles++ == 0) run.peak_rss_mb = peak_rss_mb();
+      ++cycles;
     }
     outcome.detail["cycles"] = std::to_string(cycles);
   }
   std::error_code ignored;
   std::filesystem::remove_all(shard_dir, ignored);
-  outcome.detail["resizes"] = std::to_string(run.resizes.size());
-  return run;
+  outcome.detail["resizes"] = std::to_string(resizes.size());
+  return resizes;
 }
 
 /// The redist / smpi per-layer metrics of a set of resizes.
@@ -382,40 +369,10 @@ void resize_layers(const std::vector<Resize>& resizes, Metrics& layers) {
 
 }  // namespace
 
-Outcome run_redistribute(const Options& options, Spans& spans) {
-  Outcome outcome;
-  const Cycles run = run_cycles(options, options.seconds,
-                                options.tiny ? 1 : 3, spans, outcome);
-  if (!options.trace) {
-    // ops_per_s: one cycle's resizes over the sum of each (shape,
-    // strategy)'s median seconds.
-    double seconds = 0.0;
-    for (const std::vector<double>& samples : run.combo_seconds) {
-      seconds += median(samples);
-    }
-    outcome.metrics = zero_metrics(end_to_end_metrics());
-    outcome.metrics["ops_per_s"].value =
-        seconds > 0.0 ? static_cast<double>(run.combo_seconds.size()) / seconds
-                      : 0.0;
-    outcome.metrics["setup_s"].value = median(
-        collect(run.resizes, [](const Resize& r) { return r.setup_seconds; }));
-    outcome.metrics["peak_rss_mb"].value = run.peak_rss_mb;
-    return outcome;
-  }
-  Metrics layers = zero_metrics(per_layer_metrics());
-  resize_layers(run.resizes, layers);
-  double measured = 0.0;
-  for (const Resize& r : run.resizes) measured += r.failed ? 0.0 : r.resize_seconds;
-  layers["run.wall_s"].value = measured;
-  outcome.metrics = std::move(layers);
-  return outcome;
-}
-
 void redistribute_rung(const Options& options, double seconds, Spans& spans,
                        Outcome& outcome, Metrics& layers) {
   Spans::Scope rung(spans, "rung.redistribute");
-  const Cycles run = run_cycles(options, seconds, 1, spans, outcome);
-  resize_layers(run.resizes, layers);
+  resize_layers(run_cycles(options, seconds, spans, outcome), layers);
 }
 
 }  // namespace perfbench

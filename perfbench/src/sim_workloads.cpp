@@ -98,8 +98,12 @@ struct SimWorkload {
   Attach base;
 };
 
-/// Section IX realistic mix (as bench/common.cpp builds it, fixed here so
-/// the benchmark does not move when the figure benches do).
+/// Section IX realistic mix, as bench/common.cpp's build_realistic_plans
+/// builds it.  A copy, not a call: that builder sits in common.cpp's
+/// anonymous namespace, and its public entry points
+/// (run_realistic_workload, realistic_outcome_digest) build and run in
+/// one call, so they cannot time set-up apart from the run phase.  The
+/// golden digests pin this copy's outcomes.
 std::vector<drv::JobPlan> fig10_plans(std::uint64_t seed, int jobs,
                                       double iteration_scale) {
   const std::vector<apps::AppModel> classes = {
@@ -184,7 +188,7 @@ Input archive_input(std::uint64_t seed, bool tiny, Spans& spans,
                     Metrics* layers) {
   const int nodes = tiny ? 64 : 1024;
   const auto jobs =
-      feitelson(seed, tiny ? 2000 : 100000, tiny ? 16 : 128, nodes, 1.0,
+      feitelson(seed, tiny ? 2000 : 25000, tiny ? 16 : 128, nodes, 1.0,
                 spans);
   std::string text;
   {
@@ -204,7 +208,8 @@ Input archive_input(std::uint64_t seed, bool tiny, Spans& spans,
     workload = shaper.shape(trace);
   }
   if (layers != nullptr) {
-    (*layers)["wl.swf_bytes"].value = static_cast<double>(text.size());
+    // Summed over the unit's traces, like the wl.* span seconds.
+    (*layers)["wl.swf_bytes"].value += static_cast<double>(text.size());
   }
   Input input;
   input.seed = seed;
@@ -223,7 +228,7 @@ Input fed_input(std::uint64_t seed, bool tiny, Spans& spans) {
   const int nodes = tiny ? 128 : 1024;
   const int max_size = tiny ? 16 : 128;
   const auto jobs =
-      feitelson(seed, tiny ? 1000 : 40000, max_size, nodes, 0.8, spans);
+      feitelson(seed, tiny ? 1000 : 10000, max_size, nodes, 0.8, spans);
   Input input;
   input.seed = seed;
   {
@@ -257,8 +262,8 @@ Input fed_input(std::uint64_t seed, bool tiny, Spans& spans) {
 const SimWorkload* find_workload(const std::string& name) {
   static const SimWorkload kWorkloads[] = {
       {"fig10", 40, {}},
-      {"archive_hiload", 1, {}},
-      {"fed_checked", 1, {false, true, true}},
+      {"archive_hiload", 4, {}},
+      {"fed_checked", 4, {false, true, true}},
   };
   for (const SimWorkload& workload : kWorkloads) {
     if (workload.name == name) return &workload;
@@ -310,6 +315,8 @@ Instance load(Input input, const Attach& attach, obs::Profiler* profiler,
 
 /// Every job's submit/start/end at full precision plus makespan and the
 /// resize tallies: equal strings iff equal simulated outcomes.
+/// bench::realistic_outcome_digest renders much the same text, but only
+/// from a run it makes itself.
 std::string outcome_text(const drv::WorkloadDriver& driver,
                          const drv::WorkloadMetrics& metrics) {
   std::string text;
@@ -601,6 +608,13 @@ std::uint64_t hold_model(std::uint64_t events, std::size_t initial,
   return engine.executed();
 }
 
+/// Quantile of each simulation's run seconds that ops_per_s uses.  On a
+/// shared host, repetitions run up to ~1.4x faster in bursts of seconds
+/// to a minute while neighbours are quiet, and how much of a run such
+/// bursts cover varies from run to run; the median follows that share,
+/// the 90th percentile stays with the steady, slower state.
+constexpr double kRunQuantile = 0.9;
+
 Outcome run_simulation(const Options& options, Spans& spans) {
   const SimWorkload* workload = find_workload(options.workload);
   if (workload == nullptr) {
@@ -617,8 +631,8 @@ Outcome run_simulation(const Options& options, Spans& spans) {
   std::vector<double> setups, rates, walls, traced_walls;
   // Run-phase seconds of each simulation of the unit, one entry per
   // untraced unit: ops_per_s divides the unit's jobs by the sum of their
-  // medians, so a noisy second on a shared host costs one sample of a
-  // few simulations rather than a whole unit.
+  // kRunQuantile quantiles, so a noisy second on a shared host costs one
+  // sample of a few simulations rather than a whole unit.
   std::vector<std::vector<double>> sim_walls(static_cast<std::size_t>(batch));
   std::vector<Metrics> traced_layers;
   std::optional<UnitResult> first;
@@ -656,7 +670,9 @@ Outcome run_simulation(const Options& options, Spans& spans) {
       walls.push_back(unit.run_seconds);
       rates.push_back(unit.run_seconds > 0.0 ? unit.jobs / unit.run_seconds
                                              : 0.0);
-      for (std::size_t i = 0; i < unit.runs.size(); ++i) {
+      // The first unit is a warm-up for ops_per_s: its drivers grow the
+      // heap from fresh pages, later units reuse them.
+      for (std::size_t i = 0; units > 0 && i < unit.runs.size(); ++i) {
         sim_walls[i].push_back(unit.runs[i].wall);
       }
       if (peak_rss == 0.0) peak_rss = peak_rss_mb();
@@ -672,7 +688,7 @@ Outcome run_simulation(const Options& options, Spans& spans) {
     outcome.metrics = zero_metrics(end_to_end_metrics());
     double seconds = 0.0;
     for (const std::vector<double>& samples : sim_walls) {
-      seconds += median(samples);
+      seconds += quantile(samples, kRunQuantile);
     }
     outcome.metrics["ops_per_s"].value =
         seconds > 0.0 ? first->jobs / seconds : 0.0;
@@ -711,6 +727,8 @@ Outcome run_simulation(const Options& options, Spans& spans) {
     const std::uint64_t dispatched =
         hold_model(events, static_cast<std::size_t>(first->jobs / batch),
                    options.seed, &hold_seconds);
+    outcome.detail["hold_requested"] = std::to_string(events);
+    outcome.detail["hold_dispatched"] = std::to_string(dispatched);
     if (dispatched != events) {
       outcome.fail(1, "hold model dispatched " + std::to_string(dispatched) +
                           " of " + std::to_string(events) + " events");
@@ -735,23 +753,32 @@ Outcome run_simulation(const Options& options, Spans& spans) {
   }
 
   if (workload->name == "fed_checked") {
-    // Observer rungs: detached, auditor only, attributor only.
-    const double detached = rung_seconds(*workload, options.seed, options,
-                                         Attach{}, "rung.detached", spans,
-                                         outcome);
-    const double chk = rung_seconds(*workload, options.seed, options,
-                                    Attach{false, true, false}, "rung.chk",
-                                    spans, outcome);
-    const double attr = rung_seconds(*workload, options.seed, options,
-                                     Attach{false, false, true}, "rung.attr",
-                                     spans, outcome);
+    // Observer rungs on the unit's first simulation: detached, auditor
+    // only, attributor only, and both (the workload's own observers).
+    // One run of each swings with the host, so the four are interleaved
+    // over a few repetitions and each takes its median.
+    const Attach kRungs[] = {Attach{}, Attach{false, true, false},
+                             Attach{false, false, true}, workload->base};
+    const char* const kRungNames[] = {"rung.detached", "rung.chk",
+                                      "rung.attr", "rung.both"};
+    std::vector<double> rung_walls[std::size(kRungs)];
+    for (int rep = 0; rep < (options.tiny ? 1 : 3); ++rep) {
+      for (std::size_t r = 0; r < std::size(kRungs); ++r) {
+        rung_walls[r].push_back(rung_seconds(*workload, options.seed, options,
+                                             kRungs[r], kRungNames[r], spans,
+                                             outcome));
+      }
+    }
+    const double detached = median(rung_walls[0]);
+    const double chk = median(rung_walls[1]);
+    const double attr = median(rung_walls[2]);
+    const double both = median(rung_walls[3]);
     layers["chk.cost_s"].value = chk - detached;
     layers["attr.cost_s"].value = attr - detached;
     layers["chk.cost_ratio"].value =
         detached > 0.0 ? (chk - detached) / detached : 0.0;
     layers["hooks.share"].value =
-        untraced_wall > 0.0 ? (chk + attr - 2.0 * detached) / untraced_wall
-                            : 0.0;
+        both > 0.0 ? (chk + attr - 2.0 * detached) / both : 0.0;
   }
   outcome.metrics = std::move(layers);
   return outcome;

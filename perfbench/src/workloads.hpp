@@ -25,9 +25,6 @@ bool is_simulation_workload(const std::string& name);
 /// fig10, archive_hiload or fed_checked.
 Outcome run_simulation(const Options& options, Spans& spans);
 
-/// Real-mode threaded resizes through the three redist strategies.
-Outcome run_redistribute(const Options& options, Spans& spans);
-
 /// The real-mode rung of fig10's traced run: resize cycles for about
 /// `seconds`, their redist / smpi per-layer metrics written into
 /// `layers`, and their failures counted into `outcome`.
