@@ -6,7 +6,7 @@
 //  2. rerun     (hooks detached)  — the measurement noise floor, and a
 //     determinism check: its outcome digest must match run 1 byte for
 //     byte.  The detached path *is* the "tracing disabled" cost (one
-//     null-pointer test per instrumentation site), so the run-to-run
+//     bit test per lifecycle-stream emit site), so the run-to-run
 //     spread bounds the disabled overhead we can resolve;
 //  3. profiled  (TraceRecorder + Profiler attached) — the instrumented
 //     wall time and the ProfileReport row.  Its digest must also match

@@ -1,18 +1,11 @@
 // Correctness analysis: the opt-in runtime invariant auditor.
 //
-// Attach a chk::Auditor through the same obs::Hooks bundle the tracer
-// and profiler use (DriverConfig::hooks.auditor) and the instrumented
-// layers machine-check their invariants as the run executes:
-//  - the per-job lifecycle DFA (submitted -> queued -> running ->
-//    {reconfiguring <-> running} -> done),
-//  - node conservation in rms::Manager / rms::Cluster,
-//  - sim::Engine event-queue monotonicity and (time, lane, seq) order,
-//  - federation id-range disjointness and routing-stride consistency,
-//  - byte conservation per dmr::redist report.
-// Violations collect into a structured chk::Report (JSON with the
-// BENCH_*.json provenance fields); Options::fail_fast throws
-// chk::AuditError at the first one instead.  Detached, every hook site
-// is one null pointer test.
+// chk::Auditor is a subscriber of the lifecycle stream (dmr/observe.hpp):
+// set DriverConfig::hooks.auditor and it machine-checks, as the run
+// executes, the per-job lifecycle DFA, node conservation, event-queue
+// order, federation id ranges and redistribution byte conservation (see
+// chk/auditor.hpp).  Violations collect into a structured chk::Report;
+// Options::fail_fast throws chk::AuditError at the first one instead.
 //
 // The static half of the chk:: layer is tools/dmr_lint (build target
 // `dmr_lint`, ctest `lint`): the project-rule checker that keeps
@@ -21,3 +14,4 @@
 
 #include "chk/auditor.hpp"  // IWYU pragma: export
 #include "obs/hooks.hpp"    // IWYU pragma: export
+#include "obs/sink.hpp"     // IWYU pragma: export

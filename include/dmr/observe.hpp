@@ -1,21 +1,28 @@
-// Observability: tracing, self-profiling and the unified counter
-// registry.
+// Observability: the lifecycle stream, tracing, self-profiling, wait
+// attribution and the unified counter registry.
 //
-// Attach an obs::TraceRecorder and/or obs::Profiler to a run through
-// obs::Hooks (DriverConfig::hooks, ServiceConfig reaches it via its
-// driver config) and the instrumented layers emit:
-//  - a Perfetto-loadable Chrome trace-event timeline (job lifecycle
-//    spans, schedule/reconfig/redistribution phases, placement
-//    decisions, counter tracks), and
-//  - a wall-clock self-profile (events/sec, time in schedule vs
-//    placement vs redistribution, peak RSS) whose JSON rows build the
-//    BENCH_engine.json trajectory, and
-//  - with an obs::WaitAttributor attached, a per-job wait decomposition
-//    (typed BlockReason segments whose seconds sum exactly to the wait)
-//    written as the sidecar tools/dmr_explain ingests.
-// obs::Registry is the one named counter surface every subsystem's
-// ad-hoc tallies are mirrored into (WorkloadDriver::fill_counters,
-// svc::Service::counters()).
+// Each layer emits each fact once into its obs::Stream (obs/sink.hpp):
+//  - rms::Manager: submitted, started, resized (expansion granted or
+//    shrink completed), shrink begun / ended (completed or aborted),
+//    finished, blocked{reason, blocker}, schedule pass{wall s, passes,
+//    started}, negotiated / applied{wall s}, alloc changed;
+//  - fed::Federation: placed{member, queue depth, rejected, wall s};
+//  - sim::Engine: dispatched; svc::Service: sampled;
+//  - drv::WorkloadDriver / redist::Strategy: redist report.
+// Every fact carries its federation member index and simulated time.
+//
+// A subscriber derives from obs::Sink, names the facts it consumes in the
+// Sink constructor and overrides their methods; attach it with
+// drv::WorkloadDriver::attach (every layer of a run) or to one emitter.
+// Subscribers are notified in attach order; DriverConfig::hooks attaches
+// the auditor, the attributor, the driver's own subscriber (start
+// handling, figure step series), the Chrome trace and the profiler, in
+// that order.  A stream ORs its subscribers' facts, so an unconsumed fact
+// costs one bit test and its payload (blocked diagnostics, wall-clock
+// reads) is never built.  The trace (make_trace_sink), obs::Profiler,
+// obs::WaitAttributor (the dmr_explain sidecar) and chk::Auditor are the
+// shipped subscribers; obs::Registry mirrors the legacy counters
+// (WorkloadDriver::fill_counters, svc::Service::counters()).
 #pragma once
 
 #include "dmr/build_info.hpp"  // IWYU pragma: export
@@ -23,5 +30,6 @@
 #include "obs/hooks.hpp"       // IWYU pragma: export
 #include "obs/profiler.hpp"    // IWYU pragma: export
 #include "obs/registry.hpp"    // IWYU pragma: export
+#include "obs/sink.hpp"        // IWYU pragma: export
 #include "obs/trace.hpp"       // IWYU pragma: export
 #include "obs/validate.hpp"    // IWYU pragma: export

@@ -16,7 +16,7 @@
 #include "drv/workload_driver.hpp"  // IWYU pragma: export
 #include "rms/accounting.hpp"      // IWYU pragma: export
 #include "sim/engine.hpp"          // IWYU pragma: export
-#include "sim/trace.hpp"           // IWYU pragma: export
+#include "sim/series.hpp"          // IWYU pragma: export
 
 namespace dmr {
 

@@ -115,6 +115,24 @@ const char* Auditor::phase_name(Phase phase) {
   return "?";
 }
 
+Auditor::Auditor(Options options)
+    : obs::Sink(obs::kSubmitted | obs::kStarted | obs::kResized |
+                obs::kShrinkBegun | obs::kShrinkEnded | obs::kFinished |
+                obs::kSchedulePass | obs::kPlaced | obs::kDispatched |
+                obs::kRedistReport | obs::kSampled),
+      options_(options) {}
+
+void Auditor::placed(const obs::PlaceFact& f) {
+  on_placement(f.job.id, f.member, fed::kClusterIdStride, f.now);
+}
+
+void Auditor::sampled(const obs::SampleFact& f) {
+  check_federation(f.federation, f.now);
+  for (int c = 0; c < f.federation.cluster_count(); ++c) {
+    check_manager(f.federation.manager(c), f.now);
+  }
+}
+
 void Auditor::violate(const char* invariant, ::dmr::JobId job, double now,
                       std::string message) {
   Violation violation{invariant, std::move(message), job, now};

@@ -3,9 +3,9 @@
 // The stack's headline guarantees (deterministic replay, digest-identical
 // runs with observability attached, snapshot/fork equality) are pinned by
 // end-to-end property tests that say *that* a run diverged, never
-// *where*.  The auditor is the "where": attached through the nullable
-// obs::Hooks bundle, the instrumented layers report their transitions
-// and the auditor machine-checks the invariants the tests rely on:
+// *where*.  The auditor is the "where": a subscriber of the lifecycle
+// stream (obs/sink.hpp), it receives every layer's transitions and
+// machine-checks the invariants the tests rely on:
 //
 //  - per-job lifecycle DFA: submitted -> queued -> running
 //    {-> reconfiguring -> running}* -> done; every other edge is a
@@ -27,8 +27,12 @@
 // Violations are collected into a structured chk::Report (JSON with the
 // same provenance fields as the BENCH_*.json rows); Options::fail_fast
 // instead aborts the run at the first violation by throwing AuditError.
-// Detached (the default), every hook site is one null pointer test —
-// the same zero-overhead contract obs::TraceRecorder established.
+// Detached (the default), every emit site is one bit test.
+//
+// Full conservation sweeps (check_manager) run after every schedule()
+// call that ran a pass, after an expansion is granted, when a shrink
+// begins and when it completes; the resident service's samples add a
+// federation sweep plus a sweep of every member.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,8 @@
 #include <vector>
 
 #include "dmr/types.hpp"
+#include "obs/sink.hpp"
+#include "rms/job.hpp"
 
 namespace dmr::rms {
 class Manager;
@@ -96,7 +102,7 @@ class AuditError : public std::logic_error {
 /// All entry points are serialized on an internal mutex: the simulation
 /// side is single-threaded, but redist strategies record() reports from
 /// concurrent rank threads, and one auditor may see both in one run.
-class Auditor {
+class Auditor : public obs::Sink {
  public:
   struct Options {
     /// Throw AuditError at the first violation instead of collecting.
@@ -106,8 +112,45 @@ class Auditor {
     std::size_t max_violations = 64;
   };
 
-  Auditor() = default;
-  explicit Auditor(Options options) : options_(options) {}
+  Auditor() : Auditor(Options{}) {}
+  explicit Auditor(Options options);
+
+  // --- stream subscription ---------------------------------------------------
+
+  void submitted(const obs::JobFact& f) override {
+    on_job_submitted(f.job.id, f.now);
+  }
+  void started(const obs::JobFact& f) override {
+    on_job_started(f.job.id, f.now);
+  }
+  void resized(const obs::JobFact& f, Action action, int, int) override {
+    if (action != Action::Expand) return;  // shrink_ended checks shrinks
+    on_job_resized(f.job.id, f.now);
+    check_manager(f.manager, f.now);
+  }
+  void shrink_begun(const obs::JobFact& f, int) override {
+    on_shrink_begun(f.job.id, f.now);
+    check_manager(f.manager, f.now);
+  }
+  void shrink_ended(const obs::JobFact& f, bool completed) override {
+    on_shrink_ended(f.job.id, f.now);
+    if (completed) check_manager(f.manager, f.now);
+  }
+  void finished(const obs::JobFact& f) override {
+    on_job_finished(f.job.id, f.now);
+  }
+  void schedule_pass(const obs::PassFact& f) override {
+    check_manager(f.manager, f.now);
+  }
+  void placed(const obs::PlaceFact& f) override;
+  void dispatched(const obs::DispatchFact& f) override {
+    on_event_dispatch(f.time, f.lane, f.seq, f.clock, f.watermark);
+  }
+  void redist_report(const obs::RedistFact& f) override {
+    on_redist_report(f.report, f.registered_bytes, f.now);
+  }
+  /// The service's sample heartbeat: federation plus every member.
+  void sampled(const obs::SampleFact& f) override;
 
   // --- per-job lifecycle DFA -------------------------------------------------
 

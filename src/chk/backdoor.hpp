@@ -58,7 +58,7 @@ struct TestBackdoor {
   static void push_raw_event(sim::Engine& engine, double time, sim::Lane lane,
                              std::uint64_t seq) {
     const std::uint32_t slot = engine.allocate_slot();
-    engine.slot_callback(slot).emplace([] {}, engine.arena_);
+    engine.slot_callback(slot).emplace([] {});
     engine.insert_entry(sim::Engine::Entry{
         time, sim::Engine::pack_lane_seq(lane, seq), slot,
         engine.gens_[slot]});

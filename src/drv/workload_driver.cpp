@@ -24,55 +24,75 @@ fed::FederationConfig make_federation(const DriverConfig& config) {
 }  // namespace
 
 WorkloadDriver::WorkloadDriver(sim::Engine& engine, DriverConfig config)
-    : engine_(engine),
+    : obs::Sink(obs::kStarted | obs::kFinished | obs::kAllocChanged),
+      engine_(engine),
       config_(config),
       federation_(make_federation(config)),
       connection_(std::make_shared<::dmr::Connection>(
           federation_, [this] { return engine_.now(); })),
-      trace_(engine) {
-  engine_.set_profiler(config_.hooks.profiler);
-  engine_.set_auditor(config_.hooks.auditor);
-  federation_.set_hooks(config_.hooks);
-  federation_.on_start([this](const rms::Job& job) { on_started(job); });
-  util::StepSeries* completed_series = trace_.series_handle("completed");
-  util::StepSeries* allocated_series = trace_.series_handle("allocated");
-  util::StepSeries* running_series = trace_.series_handle("running");
-  federation_.on_end([this, completed_series](const rms::Job& job) {
-    (void)job;
-    ++completed_;
-    trace_.record_into(completed_series, completed_);
-    if (config_.hooks.trace != nullptr) {
-      config_.hooks.trace->counter(0, engine_.now(), "completed jobs",
-                                   completed_);
+      trace_(engine),
+      completed_series_(trace_.series_handle("completed")),
+      allocated_series_(trace_.series_handle("allocated")),
+      running_series_(trace_.series_handle("running")),
+      member_allocated_(static_cast<std::size_t>(federation_.cluster_count())),
+      member_running_(static_cast<std::size_t>(federation_.cluster_count())) {
+  // Attach order is notification order: the checkers see a transition
+  // before the driver reacts to it (the start handling schedules the
+  // job's first event), the recorders after.
+  const obs::Hooks& hooks = config_.hooks;
+  if (hooks.auditor != nullptr) attach(*hooks.auditor);
+  if (hooks.attr != nullptr) attach(*hooks.attr);
+  attach(*this);
+  if (hooks.trace != nullptr) {
+    std::vector<std::string> members;
+    for (int c = 0; c < federation_.cluster_count(); ++c) {
+      members.push_back(federation_.cluster_name(c));
     }
-  });
+    trace_sink_ = obs::make_trace_sink(*hooks.trace, members);
+    attach(*trace_sink_);
+  }
+  if (hooks.profiler != nullptr) attach(*hooks.profiler);
+}
+
+void WorkloadDriver::attach(obs::Sink& sink) {
+  engine_.attach(sink);
+  federation_.attach(sink);
+  stream_.attach(sink);
+}
+
+void WorkloadDriver::finished(const obs::JobFact& f) {
+  if (f.job.spec.internal_resizer) return;
+  ++completed_;
+  trace_.record_into(completed_series_, completed_);
+}
+
+void WorkloadDriver::alloc_changed(const obs::AllocFact& f) {
+  const auto member = static_cast<std::size_t>(f.member);
+  member_allocated_[member] = f.allocated;
+  member_running_[member] = f.running;
+  int allocated = 0;
+  int running = 0;
+  for (std::size_t m = 0; m < member_allocated_.size(); ++m) {
+    allocated += member_allocated_[m];
+    running += member_running_[m];
+  }
+  trace_.record_into(allocated_series_, allocated);
+  trace_.record_into(running_series_, running);
   const bool multi = federation_.cluster_count() > 1;
-  federation_.on_alloc_change([this, multi, allocated_series, running_series](
-                                  int member, int member_allocated,
-                                  int total_allocated, int total_running) {
-    trace_.record_into(allocated_series, total_allocated);
-    trace_.record_into(running_series, total_running);
-    if (config_.hooks.trace != nullptr) {
-      config_.hooks.trace->counter(0, engine_.now(), "allocated nodes",
-                                   total_allocated);
-      config_.hooks.trace->counter(0, engine_.now(), "running jobs",
-                                   total_running);
+  const std::string& name = federation_.cluster_name(f.member);
+  if (multi) trace_.record("allocated@" + name, f.allocated);
+  // Per-partition occupancy of the member that changed, for the
+  // heterogeneous utilization report (qualified by member on federated
+  // runs).
+  const rms::Cluster& cluster = federation_.manager(f.member).cluster();
+  if (cluster.partition_count() > 1) {
+    for (int p = 0; p < cluster.partition_count(); ++p) {
+      const std::string series =
+          multi ? "allocated:" + name + "/" + cluster.partition(p).name
+                : "allocated:" + cluster.partition(p).name;
+      trace_.record(series, cluster.allocated_in(p));
     }
-    const std::string& name = federation_.cluster_name(member);
-    if (multi) trace_.record("allocated@" + name, member_allocated);
-    // Per-partition occupancy of the member that changed, for the
-    // heterogeneous utilization report (qualified by member on
-    // federated runs).
-    const rms::Cluster& cluster = federation_.manager(member).cluster();
-    if (cluster.partition_count() > 1) {
-      for (int p = 0; p < cluster.partition_count(); ++p) {
-        const std::string series =
-            multi ? "allocated:" + name + "/" + cluster.partition(p).name
-                  : "allocated:" + cluster.partition(p).name;
-        trace_.record(series, cluster.allocated_in(p));
-      }
-    }
-  });
+  }
 }
 
 WorkloadDriver::Exec& WorkloadDriver::enqueue(JobPlan plan) {
@@ -136,14 +156,14 @@ void WorkloadDriver::submit(Exec& exec) {
   exec.session->schedule();
 }
 
-void WorkloadDriver::on_started(const rms::Job& job) {
-  const auto it = by_id_.find(job.id);
-  if (it == by_id_.end()) return;  // not one of ours (shouldn't happen)
+void WorkloadDriver::started(const obs::JobFact& f) {
+  const auto it = by_id_.find(f.job.id);
+  if (it == by_id_.end()) return;  // a resizer, not one of ours
   Exec& exec = *it->second;
   exec.steps_left = exec.plan.model.iterations;
-  // Defer to a fresh event: this callback fires inside a Manager
-  // scheduling pass, and the first reconfiguring point itself mutates the
-  // manager (reentrancy hazard otherwise).
+  // Defer to a fresh event: this fact fires inside a Manager scheduling
+  // pass, and the first reconfiguring point itself mutates the manager
+  // (reentrancy hazard otherwise).
   engine_.schedule_after(0.0, [this, &exec] { begin_execution(exec); });
 }
 
@@ -224,30 +244,13 @@ double WorkloadDriver::apply_outcome(Exec& exec, rms::DmrOutcome& outcome) {
   // The stamped outcome is the carrier: workload totals read it back.
   bytes_redistributed_ += outcome.bytes_redistributed;
   redistribution_seconds_ += outcome.redistribution_seconds;
-  if (config_.hooks.auditor != nullptr) {
-    // A modeled report has no registry; it must account for exactly the
-    // plan's declared state bytes.
-    config_.hooks.auditor->on_redist_report(
-        moved, exec.plan.model.state_bytes, engine_.now());
-  }
-  if (config_.hooks.trace != nullptr && moved.seconds > 0.0) {
-    // The redistribution occupies [now, now + seconds] of simulated time;
-    // both ends are known here, so the span is recorded in one go (the
-    // job's next reconfiguring point cannot precede the end).
-    const double start = engine_.now();
-    const auto pid =
-        static_cast<std::uint32_t>(federation_.cluster_of(exec.id) + 1);
-    const auto job_id = static_cast<std::uint64_t>(exec.id);
-    config_.hooks.trace->async_begin(
-        pid, start, "redist", job_id,
-        outcome.action == rms::Action::Expand ? "redistribute (expand)"
-                                              : "redistribute (shrink)",
-        "\"bytes\":" + std::to_string(moved.bytes_moved) +
-            ",\"from\":" + std::to_string(previous) +
-            ",\"to\":" + std::to_string(outcome.new_size));
-    config_.hooks.trace->async_end(pid, start + moved.seconds, "redist",
-                                   job_id);
-  }
+  // A modeled report has no registry; it must account for exactly the
+  // plan's declared state bytes.
+  stream_.emit(obs::kRedistReport, &obs::Sink::redist_report,
+               obs::RedistFact{moved, exec.plan.model.state_bytes,
+                               engine_.now(), true,
+                               federation_.cluster_of(exec.id), exec.id,
+                               outcome.action, previous, outcome.new_size});
   return config_.cost.protocol_seconds(outcome.new_size) +
          outcome.redistribution_seconds;
 }

@@ -31,9 +31,10 @@
 #include "fed/federation.hpp"
 #include "obs/hooks.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "rms/manager.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
+#include "sim/series.hpp"
 
 namespace dmr::drv {
 
@@ -73,15 +74,24 @@ struct DriverConfig {
   /// check (the overhead the checking inhibitor exists to curb; only
   /// noticeable for micro-step applications, Section VIII-E).
   double check_overhead_seconds = 0.05;
-  /// Tracing/profiling sinks (both null by default = no overhead).  The
-  /// driver wires them through the engine, the federation and every
-  /// member manager; the pointed-to objects must outlive the driver.
+  /// Observers to attach (all null by default = no overhead).  The
+  /// driver subscribes them to every layer's lifecycle stream, in the
+  /// order auditor, attributor, the driver itself, trace, profiler; the
+  /// pointed-to objects must outlive the driver.
   obs::Hooks hooks;
 };
 
-class WorkloadDriver {
+class WorkloadDriver : private obs::Sink {
  public:
   WorkloadDriver(sim::Engine& engine, DriverConfig config);
+
+  /// Subscribe `sink` to every layer of this run — engine, federation,
+  /// member managers and the driver's own redist_report facts — after
+  /// the DriverConfig::hooks observers.
+  void attach(obs::Sink& sink);
+  /// The run's fan-out: every attached subscriber, in attach order.
+  /// Layers above the driver (the resident service) emit through it.
+  obs::Stream& stream() { return stream_; }
 
   /// Queue a plan for run() to schedule.  Throws std::invalid_argument
   /// when the arrival lies before the current simulated clock — the
@@ -117,16 +127,17 @@ class WorkloadDriver {
   /// so a snapshot always equals the live legacy values.
   void fill_counters(obs::Registry& registry) const;
 
-  const sim::TraceRecorder& trace() const { return trace_; }
+  /// The figure step series ("allocated", "running", "completed", and
+  /// per-member / per-partition "allocated@..." / "allocated:...").
+  const sim::SeriesRecorder& trace() const { return trace_; }
   /// The federation the driver runs against (a single member unless
   /// DriverConfig::federation named more).
   const fed::Federation& federation() const { return federation_; }
   fed::Federation& federation_mutable() { return federation_; }
   /// First member's manager — the whole system on single-cluster runs.
   const rms::Manager& manager() const { return federation_.manager(0); }
-  /// Mutable access for attaching instrumentation (e.g. rms::Accounting)
-  /// before run().  Federated runs attach per member via
-  /// federation_mutable().
+  /// Mutable access for attaching a single-member subscriber (e.g.
+  /// rms::Accounting) before run().
   rms::Manager& manager_mutable() { return federation_.manager(0); }
 
  private:
@@ -153,7 +164,11 @@ class WorkloadDriver {
   Exec& enqueue(JobPlan plan);
   void schedule_arrival(Exec& exec);
   void submit(Exec& exec);
-  void on_started(const rms::Job& job);
+  /// The driver's own subscription: start handling, completions, and
+  /// the step series.
+  void started(const obs::JobFact& f) override;
+  void finished(const obs::JobFact& f) override;
+  void alloc_changed(const obs::AllocFact& f) override;
   /// First reconfiguring point, right after the allocation (Listing 2
   /// checks at the top of the very first iteration: jobs submitted at
   /// their maximum are "scaled-down as soon as possible").
@@ -178,7 +193,17 @@ class WorkloadDriver {
   fed::Federation federation_;
   /// Shared virtual-clock connection all job sessions go through.
   std::shared_ptr<::dmr::Connection> connection_;
-  sim::TraceRecorder trace_;
+  obs::Stream stream_;
+  /// Chrome-trace subscriber, when DriverConfig::hooks.trace is set.
+  std::unique_ptr<obs::Sink> trace_sink_;
+  sim::SeriesRecorder trace_;
+  util::StepSeries* completed_series_;
+  util::StepSeries* allocated_series_;
+  util::StepSeries* running_series_;
+  /// Per member: last allocated nodes and running jobs (federation-wide
+  /// totals are their sums).
+  std::vector<int> member_allocated_;
+  std::vector<int> member_running_;
   /// A deque so Exec addresses stay stable for the event callbacks while
   /// jobs keep arriving — without a heap allocation per job.
   std::deque<Exec> execs_;

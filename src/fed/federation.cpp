@@ -1,15 +1,25 @@
 #include "fed/federation.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
-#include "chk/auditor.hpp"
-#include "obs/attr.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace dmr::fed {
+
+namespace {
+
+std::invalid_argument unplaceable(const JobSpec& spec) {
+  return std::invalid_argument(
+      "Federation: no member cluster can run '" + spec.name + "' (" +
+      std::to_string(spec.requested_nodes) + " nodes" +
+      (spec.partition.empty() ? std::string()
+                              : ", partition '" + spec.partition + "'") +
+      ")");
+}
+
+}  // namespace
 
 Federation::Federation(FederationConfig config) : config_(std::move(config)) {
   if (config_.clusters.empty()) {
@@ -32,15 +42,14 @@ Federation::Federation(FederationConfig config) : config_(std::move(config)) {
     }
     spec.rms.first_job_id =
         static_cast<JobId>(c) * kClusterIdStride + 1;
-    managers_.push_back(std::make_unique<rms::Manager>(spec.rms));
+    managers_.push_back(
+        std::make_unique<rms::Manager>(spec.rms, static_cast<int>(c)));
     total_nodes_ += managers_.back()->cluster().size();
   }
   policy_ = config_.policy ? config_.policy
                            : std::shared_ptr<PlacementPolicy>(
                                  make_placement(config_.placement));
   placements_.assign(managers_.size(), 0);
-  cluster_allocated_.assign(managers_.size(), 0);
-  cluster_running_.assign(managers_.size(), 0);
 }
 
 int Federation::cluster_of(JobId id) const {
@@ -111,13 +120,16 @@ JobId Federation::submit(JobSpec spec, double now) {
     throw std::invalid_argument("Federation: bad node request for " +
                                 spec.name);
   }
-  // Single-member fast path: routing has exactly one answer, so skip the
-  // status snapshot and the policy call (an allocation and a queue walk
-  // per submission — archive replays submit hundreds of thousands of
-  // times).  Placement tracing/attribution wants the snapshot, so those
-  // hooks keep the full protocol.
-  if (managers_.size() == 1 && hooks_.trace == nullptr &&
-      hooks_.attr == nullptr) {
+  const bool observed = stream_.wants(obs::kPlaced);
+  int picked = 0;
+  int queue_depth = 0;
+  std::string rejected;
+  double wall = 0.0;
+  if (managers_.size() == 1) {
+    // Single-member fast path: routing has exactly one answer, so skip
+    // the status snapshot and the policy call (an allocation and a queue
+    // walk per submission — archive replays submit hundreds of
+    // thousands of times).
     const rms::Cluster& cluster = managers_.front()->cluster();
     int capacity = cluster.size();
     if (!spec.partition.empty()) {
@@ -125,95 +137,47 @@ JobId Federation::submit(JobSpec spec, double now) {
       capacity =
           pinned == rms::kAnyPartition ? 0 : cluster.partition(pinned).nodes;
     }
-    if (spec.requested_nodes > capacity) {
-      throw std::invalid_argument(
-          "Federation: no member cluster can run '" + spec.name + "' (" +
-          std::to_string(spec.requested_nodes) + " nodes" +
-          (spec.partition.empty()
-               ? std::string()
-               : ", partition '" + spec.partition + "'") +
-          ")");
+    if (spec.requested_nodes > capacity) throw unplaceable(spec);
+    if (observed) {
+      queue_depth =
+          static_cast<int>(managers_.front()->pending_unsorted().size());
     }
-    ++placements_[0];
-    if (hooks_.profiler != nullptr) hooks_.profiler->add_placement(0.0);
-    DMR_DEBUG("fed") << "route '" << spec.name << "' ("
-                     << spec.requested_nodes << " nodes) -> "
-                     << cluster_name(0) << " via " << policy_->name();
-    const JobId id = managers_.front()->submit(std::move(spec), now);
-    if (hooks_.auditor != nullptr) {
-      hooks_.auditor->on_placement(id, 0, kClusterIdStride, now);
+  } else {
+    const std::vector<ClusterStatus> all = statuses(spec, now);
+    std::vector<int> eligible;
+    for (const ClusterStatus& status : all) {
+      if (spec.requested_nodes <= status.capacity) {
+        eligible.push_back(status.index);
+      } else if (observed) {
+        // Placement provenance: the members that could not hold the job.
+        if (!rejected.empty()) rejected += ",";
+        rejected += status.name;
+      }
     }
-    return id;
-  }
-  const std::vector<ClusterStatus> all = statuses(spec, now);
-  std::vector<int> eligible;
-  for (const ClusterStatus& status : all) {
-    if (spec.requested_nodes <= status.capacity) {
-      eligible.push_back(status.index);
+    if (eligible.empty()) throw unplaceable(spec);
+    const double wall_start = observed ? util::wall_seconds() : 0.0;
+    picked = policy_->place(spec, all, eligible);
+    if (std::find(eligible.begin(), eligible.end(), picked) == eligible.end()) {
+      throw std::logic_error("Federation: policy '" + policy_->name() +
+                             "' picked ineligible member " +
+                             std::to_string(picked));
     }
-  }
-  if (eligible.empty()) {
-    throw std::invalid_argument("Federation: no member cluster can run '" +
-                                spec.name + "' (" +
-                                std::to_string(spec.requested_nodes) +
-                                " nodes" +
-                                (spec.partition.empty()
-                                     ? std::string()
-                                     : ", partition '" + spec.partition + "'") +
-                                ")");
-  }
-  const double wall_start = hooks_.any() ? util::wall_seconds() : 0.0;
-  const int picked = policy_->place(spec, all, eligible);
-  if (std::find(eligible.begin(), eligible.end(), picked) == eligible.end()) {
-    throw std::logic_error("Federation: policy '" + policy_->name() +
-                           "' picked ineligible member " +
-                           std::to_string(picked));
+    if (observed) {
+      wall = util::wall_seconds() - wall_start;
+      queue_depth = all[static_cast<std::size_t>(picked)].pending_jobs;
+    }
   }
   ++placements_[static_cast<std::size_t>(picked)];
-  if (hooks_.any()) {
-    const double wall = util::wall_seconds() - wall_start;
-    if (hooks_.profiler != nullptr) hooks_.profiler->add_placement(wall);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->instant(
-          0, 0, now, "place " + spec.name,
-          "\"cluster\":\"" + obs::TraceRecorder::escape(cluster_name(picked)) +
-              "\",\"policy\":\"" + obs::TraceRecorder::escape(policy_->name()) +
-              "\",\"nodes\":" + std::to_string(spec.requested_nodes));
-      hooks_.trace->counter(
-          0, now, "placements",
-          static_cast<double>(std::accumulate(placements_.begin(),
-                                              placements_.end(), 0LL)));
-    }
-  }
   DMR_DEBUG("fed") << "route '" << spec.name << "' (" << spec.requested_nodes
                    << " nodes) -> " << cluster_name(picked) << " via "
                    << policy_->name();
-  std::string placement_note;
-  if (hooks_.attr != nullptr) {
-    // Placement provenance: which policy routed where, the queue depth it
-    // saw there, and the members that could not hold the job at all.
-    placement_note = "policy=" + policy_->name() + " -> " +
-                     cluster_name(picked) + " queue_depth=" +
-                     std::to_string(
-                         all[static_cast<std::size_t>(picked)].pending_jobs);
-    std::string rejected;
-    for (const ClusterStatus& status : all) {
-      if (std::find(eligible.begin(), eligible.end(), status.index) !=
-          eligible.end()) {
-        continue;
-      }
-      if (!rejected.empty()) rejected += ",";
-      rejected += status.name;
-    }
-    if (!rejected.empty()) placement_note += " rejected=" + rejected;
-  }
-  const JobId id =
-      managers_[static_cast<std::size_t>(picked)]->submit(std::move(spec), now);
-  if (hooks_.auditor != nullptr) {
-    hooks_.auditor->on_placement(id, picked, kClusterIdStride, now);
-  }
-  if (hooks_.attr != nullptr) {
-    hooks_.attr->on_placement(id, picked, placement_note);
+  rms::Manager& member = *managers_[static_cast<std::size_t>(picked)];
+  const JobId id = member.submit(std::move(spec), now);
+  if (observed) {
+    stream_.emit(obs::kPlaced, &obs::Sink::placed,
+                 obs::PlaceFact{member.job(id), picked, cluster_name(picked),
+                                policy_->name(), queue_depth, rejected, now,
+                                wall});
   }
   return id;
 }
@@ -329,60 +293,9 @@ void Federation::add_nodes(int member, int count,
   total_nodes_ += count;
 }
 
-void Federation::set_hooks(const obs::Hooks& hooks) {
-  hooks_ = hooks;
-  if (hooks_.trace != nullptr) {
-    hooks_.trace->set_process_name(0, "federation");
-    hooks_.trace->set_thread_name(0, 0, "placement");
-  }
-  for (std::size_t c = 0; c < managers_.size(); ++c) {
-    const auto pid = static_cast<std::uint32_t>(c + 1);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->set_process_name(
-          pid, "cluster " + cluster_name(static_cast<int>(c)));
-    }
-    managers_[c]->set_hooks(hooks_, pid);
-  }
-}
-
-void Federation::on_start(rms::Manager::JobCallback cb) {
-  // One shared callback registered with every member: the job record
-  // carries a globally unique id, so receivers need no member context.
-  auto shared = std::make_shared<rms::Manager::JobCallback>(std::move(cb));
-  for (auto& manager : managers_) {
-    manager->on_start([shared](const rms::Job& job) { (*shared)(job); });
-  }
-}
-
-void Federation::on_end(rms::Manager::JobCallback cb) {
-  auto shared = std::make_shared<rms::Manager::JobCallback>(std::move(cb));
-  for (auto& manager : managers_) {
-    manager->on_end([shared](const rms::Job& job) { (*shared)(job); });
-  }
-}
-
-void Federation::on_alloc_change(AllocCallback cb) {
-  if (alloc_callbacks_.empty()) {
-    // First subscriber: hook every member once, then fan out with
-    // federation-wide totals accumulated from the last-seen figures.
-    for (int c = 0; c < cluster_count(); ++c) {
-      managers_[static_cast<std::size_t>(c)]->on_alloc_change(
-          [this, c](int allocated, int running) {
-            cluster_allocated_[static_cast<std::size_t>(c)] = allocated;
-            cluster_running_[static_cast<std::size_t>(c)] = running;
-            int total_allocated = 0;
-            int total_running = 0;
-            for (std::size_t m = 0; m < cluster_allocated_.size(); ++m) {
-              total_allocated += cluster_allocated_[m];
-              total_running += cluster_running_[m];
-            }
-            for (const auto& callback : alloc_callbacks_) {
-              callback(c, allocated, total_allocated, total_running);
-            }
-          });
-    }
-  }
-  alloc_callbacks_.push_back(std::move(cb));
+void Federation::attach(obs::Sink& sink) {
+  stream_.attach(sink);
+  for (auto& manager : managers_) manager->attach(sink);
 }
 
 }  // namespace dmr::fed

@@ -21,14 +21,13 @@
 // real mode.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dmr/rms.hpp"
 #include "fed/placement.hpp"
-#include "obs/hooks.hpp"
+#include "obs/sink.hpp"
 #include "rms/manager.hpp"
 
 namespace dmr::fed {
@@ -57,7 +56,7 @@ constexpr ::dmr::JobId kClusterIdStride = 1'000'000'000;
 class Federation : public ::dmr::Rms {
  public:
   explicit Federation(FederationConfig config);
-  /// Pinned: member callbacks registered by on_* capture `this`.
+  /// Pinned: subscribers and drivers hold references to the members.
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
 
@@ -127,20 +126,11 @@ class Federation : public ::dmr::Rms {
   /// landing cluster is not yet known.
   double conservative_speed(const std::string& partition) const;
 
-  // --- instrumentation (forwarded to every member) ---------------------------
+  // --- instrumentation -------------------------------------------------------
 
-  /// Attach tracing/profiling: the federation takes trace process 0
-  /// (placement decisions, global counters) and hands member c the
-  /// process track c+1, named after the cluster.
-  void set_hooks(const obs::Hooks& hooks);
-
-  void on_start(rms::Manager::JobCallback cb);
-  void on_end(rms::Manager::JobCallback cb);
-  /// Fired after any member's allocation change with (member index, that
-  /// member's allocated nodes, federation-wide allocated nodes,
-  /// federation-wide running jobs).
-  using AllocCallback = std::function<void(int, int, int, int)>;
-  void on_alloc_change(AllocCallback cb);
+  /// Subscribe `sink` to the `placed` fact (one per submission, the
+  /// single-member fast path included) and to every member's facts.
+  void attach(obs::Sink& sink);
 
  private:
   rms::Manager& owner(JobId id);
@@ -153,12 +143,7 @@ class Federation : public ::dmr::Rms {
   std::shared_ptr<PlacementPolicy> policy_;
   std::vector<long long> placements_;
   int total_nodes_ = 0;
-  obs::Hooks hooks_;
-
-  // Last-seen per-member figures for federation-wide alloc callbacks.
-  std::vector<int> cluster_allocated_;
-  std::vector<int> cluster_running_;
-  std::vector<AllocCallback> alloc_callbacks_;
+  obs::Stream stream_;
 };
 
 }  // namespace dmr::fed

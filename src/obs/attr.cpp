@@ -181,6 +181,13 @@ void WaitAttributor::on_placement(JobId id, int member,
   record->second.placement = note;
 }
 
+void WaitAttributor::placed(const PlaceFact& f) {
+  std::string note = "policy=" + f.policy + " -> " + f.cluster +
+                     " queue_depth=" + std::to_string(f.queue_depth);
+  if (!f.rejected.empty()) note += " rejected=" + f.rejected;
+  on_placement(f.job.id, f.member, note);
+}
+
 std::vector<double> WaitAttributor::cause_totals(double now) const {
   std::vector<double> totals(static_cast<std::size_t>(kBlockReasonCount),
                              0.0);

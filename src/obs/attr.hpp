@@ -5,9 +5,10 @@
 // summary.  This layer answers *why* a job waited: every scheduler
 // decision point in rms::Manager (insufficient idle nodes, blocked
 // behind the EASY reservation, partition-pin mismatch, draining-wait,
-// shrink-pending, dependency gating) reports a typed BlockReason
-// through the fourth obs::Hooks pointer, and the attributor folds the
-// reports into per-job wait decompositions.
+// shrink-pending, dependency gating) emits a typed BlockReason as a
+// `blocked` fact on the lifecycle stream (obs/sink.hpp), and the
+// attributor, one of the stream's subscribers, folds the facts into
+// per-job wait decompositions.
 //
 // Conservation is the contract: a job's wait [submit, start] is tiled
 // by contiguous cause segments — one segment is open at any moment, a
@@ -28,6 +29,8 @@
 #include <vector>
 
 #include "dmr/types.hpp"
+#include "obs/sink.hpp"
+#include "rms/job.hpp"
 
 namespace dmr::obs {
 
@@ -98,9 +101,35 @@ std::vector<CauseSlice> ranked_causes(const JobAttribution& job);
 /// The attribution accumulator behind obs::Hooks::attr.  Simulation-
 /// thread only (unlike chk::Auditor it has no rank-thread entry points);
 /// parallel harnesses attach one attributor per scenario.
-class WaitAttributor {
+class WaitAttributor : public Sink {
  public:
-  // --- decision-point feed (rms::Manager / fed::Federation) -----------------
+  WaitAttributor()
+      : Sink(kSubmitted | kStarted | kFinished | kBlocked | kPlaced) {}
+
+  // --- stream subscription (user jobs only: a resizer's wait is part of
+  // its parent's reconfiguration, not queueing) ------------------------------
+
+  void submitted(const JobFact& f) override {
+    if (!f.job.spec.internal_resizer) {
+      on_job_submitted(f.job.id, f.job.spec.name, f.now);
+    }
+  }
+  void started(const JobFact& f) override {
+    if (!f.job.spec.internal_resizer) on_job_started(f.job.id, f.now);
+  }
+  void finished(const JobFact& f) override {
+    if (!f.job.spec.internal_resizer) on_job_finished(f.job.id, f.now);
+  }
+  void blocked(const JobFact& f, BlockReason reason, JobId blocker) override {
+    if (!f.job.spec.internal_resizer) {
+      on_job_blocked(f.job.id, f.now, reason, blocker);
+    }
+  }
+  /// Placement provenance: "policy=P -> member queue_depth=N" plus the
+  /// members that rejected the job.
+  void placed(const PlaceFact& f) override;
+
+  // --- decision-point feed ---------------------------------------------------
 
   void on_job_submitted(JobId id, const std::string& name, double now);
   /// Re-diagnosis of a still-pending job.  Same cause and blocker as the

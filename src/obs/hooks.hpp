@@ -1,18 +1,13 @@
-// obs::Hooks — the nullable instrumentation bundle threaded through the
-// stack.
+// obs::Hooks — the attach bundle for a simulated run's observers.
 //
-// Every instrumented layer (sim::Engine, rms::Manager, fed::Federation,
-// drv::WorkloadDriver, dmr::redist strategies, svc::Service) holds a
-// copy of this four-pointer struct.  All pointers default to null, so
-// an un-instrumented run pays exactly one pointer test per hook site —
-// the ≤2% overhead budget bench/engine_bench smoke mode asserts.  The
-// pointed-to recorder/profiler/auditor are owned by the caller (a bench,
-// a test, the sweep harness) and must outlive the run.
-//
-// The auditor and the wait attributor are only forward-declared: layers
-// that never call them (and this header's other includers) stay
-// decoupled, while the layers that do report include chk/auditor.hpp or
-// obs/attr.hpp themselves.
+// DriverConfig::hooks names up to four caller-owned observers.  The
+// driver subscribes each one to the run's lifecycle stream
+// (obs/sink.hpp) — engine, federation, every member manager and the
+// driver itself — in the order auditor, attributor, the driver's own
+// subscriber, trace, profiler; the trace recorder gets a trace sink
+// that renders the facts into it.  No layer keeps these pointers: the
+// stream is the only instrumentation path, and a null field attaches
+// nothing.  The pointed-to objects must outlive the run.
 #pragma once
 
 #include "obs/profiler.hpp"
@@ -28,20 +23,15 @@ namespace dmr::obs {
 class WaitAttributor;
 
 struct Hooks {
+  /// Chrome trace-event timeline.
   TraceRecorder* trace = nullptr;
+  /// Wall-clock self-profile.
   Profiler* profiler = nullptr;
-  /// Runtime invariant checker (chk::Auditor); attached runs machine-
-  /// check lifecycle/conservation/ordering invariants as they execute.
+  /// Runtime invariant checker (chk::Auditor).
   chk::Auditor* auditor = nullptr;
-  /// Wait-time attribution (obs::WaitAttributor); attached runs record a
-  /// typed BlockReason at every scheduler decision point and decompose
-  /// each job's wait into per-cause seconds that sum to the total.
+  /// Wait-time attribution (obs::WaitAttributor): typed BlockReason
+  /// segments that sum to each job's wait.
   WaitAttributor* attr = nullptr;
-
-  bool any() const {
-    return trace != nullptr || profiler != nullptr || auditor != nullptr ||
-           attr != nullptr;
-  }
 };
 
 }  // namespace dmr::obs

@@ -5,7 +5,13 @@
 #include <cstring>
 #include <sstream>
 
+#include "redist/strategy.hpp"
+
 namespace dmr::obs {
+
+void Profiler::redist_report(const RedistFact& f) {
+  if (!f.simulated) add_redist(f.report.seconds);
+}
 
 long Profiler::peak_rss_kb() {
   std::FILE* status = std::fopen("/proc/self/status", "r");

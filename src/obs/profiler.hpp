@@ -2,13 +2,14 @@
 //
 // The archive-scale roadmap item starts with "pull a real log through,
 // profile, and rebuild the hot path"; this is the measurement half.
-// Instrumented layers feed the profiler while a run executes:
+// As a lifecycle-stream subscriber (obs/sink.hpp) it accumulates while
+// a run executes:
 //
-//  - sim::Engine counts every dispatched event (on_event);
-//  - rms::Manager accumulates the wall seconds of real schedule passes;
-//  - fed::Federation accumulates placement-decision wall seconds;
-//  - dmr::redist strategies accumulate measured transfer wall seconds
-//    (modeled runs report none — movement there is simulated time).
+//  - every dispatched event (sim::Engine's `dispatched` fact);
+//  - the wall seconds of real schedule passes (rms::Manager);
+//  - placement-decision wall seconds (fed::Federation);
+//  - measured transfer wall seconds of dmr::redist strategies (modeled
+//    reports carry simulated seconds and are not counted).
 //
 // report() folds the accumulators plus the process's peak RSS into a
 // ProfileReport whose JSON row is what bench/engine_bench and
@@ -23,6 +24,8 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+
+#include "obs/sink.hpp"
 
 namespace dmr::obs {
 
@@ -51,8 +54,19 @@ struct ProfileReport {
   std::string json_fields() const;
 };
 
-class Profiler {
+class Profiler : public Sink {
  public:
+  Profiler() : Sink(kDispatched | kSchedulePass | kPlaced | kRedistReport) {}
+
+  // --- stream subscription ---------------------------------------------------
+
+  void dispatched(const DispatchFact&) override { on_event(); }
+  void schedule_pass(const PassFact& f) override {
+    add_schedule(f.wall_seconds);
+  }
+  void placed(const PlaceFact& f) override { add_placement(f.wall_seconds); }
+  void redist_report(const RedistFact& f) override;
+
   // --- accumulation hooks (relaxed atomics; callable cross-thread) ----------
 
   void on_event() { events_.fetch_add(1, std::memory_order_relaxed); }

@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "redist/strategy.hpp"
+#include "rms/manager.hpp"
 
 namespace dmr::obs {
 
@@ -72,29 +77,6 @@ void TraceRecorder::set_thread_name(std::uint32_t pid, std::uint32_t tid,
                                     std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
   thread_names_[{pid, tid}] = std::move(name);
-}
-
-void TraceRecorder::begin(std::uint32_t pid, std::uint32_t tid,
-                          double ts_seconds, std::string name,
-                          std::string args) {
-  TraceEvent event;
-  event.ph = 'B';
-  event.pid = pid;
-  event.tid = tid;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.name = std::move(name);
-  event.args = std::move(args);
-  push(std::move(event));
-}
-
-void TraceRecorder::end(std::uint32_t pid, std::uint32_t tid,
-                        double ts_seconds) {
-  TraceEvent event;
-  event.ph = 'E';
-  event.pid = pid;
-  event.tid = tid;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  push(std::move(event));
 }
 
 void TraceRecorder::complete(std::uint32_t pid, std::uint32_t tid,
@@ -212,9 +194,7 @@ void TraceRecorder::write_json(std::ostream& out) const {
     out << "{\"ph\":\"" << event.ph << "\",\"ts\":";
     write_number(out, event.ts_us);
     out << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid;
-    if (event.ph != 'E') {
-      out << ",\"name\":\"" << escape(event.name) << "\"";
-    }
+    out << ",\"name\":\"" << escape(event.name) << "\"";
     if (event.ph == 'X') {
       out << ",\"dur\":";
       write_number(out, event.dur_us);
@@ -258,6 +238,181 @@ void TraceRecorder::write_file(const std::string& path) const {
     throw std::runtime_error("TraceRecorder: cannot write " + path);
   }
   write_json(out);
+}
+
+// --- the Chrome-trace subscriber --------------------------------------------
+
+namespace {
+
+std::uint32_t pid_of(int member) {
+  return static_cast<std::uint32_t>(member + 1);
+}
+
+std::uint64_t async_id(JobId id) { return static_cast<std::uint64_t>(id); }
+
+std::string resize_args(int from, int to) {
+  return "\"from\":" + std::to_string(from) + ",\"to\":" + std::to_string(to);
+}
+
+std::string phase_args(const JobFact& f, Action action) {
+  return "\"job\":" + std::to_string(f.job.id) + ",\"action\":\"" +
+         to_string(action) + "\"";
+}
+
+class TraceSink final : public Sink {
+ public:
+  TraceSink(TraceRecorder& trace, const std::vector<std::string>& members)
+      : Sink(kSubmitted | kStarted | kResized | kShrinkBegun | kShrinkEnded |
+             kFinished | kSchedulePass | kNegotiated | kApplied | kPlaced |
+             kAllocChanged | kRedistReport | kSampled),
+        trace_(trace),
+        queue_depth_(members.size(), 0),
+        allocated_(members.size(), 0),
+        running_(members.size(), 0) {
+    trace_.set_process_name(0, "federation");
+    trace_.set_thread_name(0, 0, "placement");
+    for (std::size_t c = 0; c < members.size(); ++c) {
+      const std::uint32_t pid = pid_of(static_cast<int>(c));
+      trace_.set_process_name(pid, "cluster " + members[c]);
+      trace_.set_thread_name(pid, 0, "schedule");
+      trace_.set_thread_name(pid, 1, "reconfig");
+    }
+  }
+
+  void submitted(const JobFact& f) override {
+    if (f.job.spec.internal_resizer) return;
+    const std::uint32_t pid = pid_of(f.member);
+    trace_.async_begin(
+        pid, f.now, "job", async_id(f.job.id), f.job.spec.name,
+        "\"requested_nodes\":" + std::to_string(f.job.requested_nodes));
+    trace_.counter(pid, f.now, "queue depth", ++queue_depth_[f.member]);
+  }
+
+  void started(const JobFact& f) override {
+    if (f.job.spec.internal_resizer) return;
+    --queue_depth_[f.member];
+    trace_.async_instant(pid_of(f.member), f.now, "job", async_id(f.job.id),
+                         "start",
+                         "\"nodes\":" + std::to_string(f.job.allocated()));
+  }
+
+  void resized(const JobFact& f, Action action, int from, int to) override {
+    trace_.async_instant(pid_of(f.member), f.now, "job", async_id(f.job.id),
+                         to_string(action), resize_args(from, to));
+  }
+
+  void shrink_begun(const JobFact& f, int draining) override {
+    trace_.async_begin(pid_of(f.member), f.now, "reconfig", async_id(f.job.id),
+                       "drain", "\"nodes\":" + std::to_string(draining));
+    open_drains_.insert(f.job.id);
+  }
+
+  void shrink_ended(const JobFact& f, bool completed) override {
+    if (open_drains_.erase(f.job.id) == 0) return;
+    const std::uint32_t pid = pid_of(f.member);
+    if (!completed) {
+      trace_.async_instant(pid, f.now, "reconfig", async_id(f.job.id),
+                           "drain aborted");
+    }
+    trace_.async_end(pid, f.now, "reconfig", async_id(f.job.id), "drain");
+  }
+
+  void finished(const JobFact& f) override {
+    const std::uint32_t pid = pid_of(f.member);
+    if (open_drains_.erase(f.job.id) != 0) {
+      // A job can end while still draining; close its drain span so the
+      // trace stays balanced.
+      trace_.async_end(pid, f.now, "reconfig", async_id(f.job.id), "drain");
+    }
+    if (f.job.spec.internal_resizer) return;
+    if (f.job.start_time < 0.0) --queue_depth_[f.member];  // never started
+    trace_.counter(0, f.now, "completed jobs",
+                   static_cast<double>(++completed_));
+    trace_.async_end(pid, f.now, "job", async_id(f.job.id));
+  }
+
+  void schedule_pass(const PassFact& f) override {
+    const std::uint32_t pid = pid_of(f.member);
+    trace_.complete(pid, 0, f.now, f.wall_seconds * kUsPerSecond, "schedule",
+                    "\"passes\":" + std::to_string(f.passes) +
+                        ",\"started\":" + std::to_string(f.started));
+    trace_.counter(pid, f.now, "queue depth", queue_depth_[f.member]);
+  }
+
+  void negotiated(const JobFact& f, Action action, double wall_s) override {
+    trace_.complete(pid_of(f.member), 1, f.now, wall_s * kUsPerSecond,
+                    "negotiate", phase_args(f, action));
+  }
+
+  void applied(const JobFact& f, Action action, bool aborted,
+               double wall_s) override {
+    const std::uint32_t pid = pid_of(f.member);
+    trace_.complete(pid, 1, f.now, wall_s * kUsPerSecond, "apply",
+                    phase_args(f, action) + ",\"aborted\":" +
+                        (aborted ? "true" : "false"));
+    const rms::Manager::Counters& counters = f.manager.counters();
+    trace_.counter(pid, f.now, "reconfigs",
+                   static_cast<double>(counters.expands + counters.shrinks));
+  }
+
+  void placed(const PlaceFact& f) override {
+    trace_.instant(
+        0, 0, f.now, "place " + f.job.spec.name,
+        "\"cluster\":\"" + TraceRecorder::escape(f.cluster) +
+            "\",\"policy\":\"" + TraceRecorder::escape(f.policy) +
+            "\",\"nodes\":" + std::to_string(f.job.spec.requested_nodes));
+    trace_.counter(0, f.now, "placements", static_cast<double>(++placements_));
+  }
+
+  void alloc_changed(const AllocFact& f) override {
+    allocated_[f.member] = f.allocated;
+    running_[f.member] = f.running;
+    int allocated = 0;
+    int running = 0;
+    for (std::size_t m = 0; m < allocated_.size(); ++m) {
+      allocated += allocated_[m];
+      running += running_[m];
+    }
+    trace_.counter(0, f.now, "allocated nodes", allocated);
+    trace_.counter(0, f.now, "running jobs", running);
+  }
+
+  void redist_report(const RedistFact& f) override {
+    // A modeled redistribution occupies [now, now + seconds] of simulated
+    // time; both ends are known, so the span is recorded in one go.
+    if (!f.simulated || !(f.report.seconds > 0.0)) return;
+    const std::uint32_t pid = pid_of(f.member);
+    trace_.async_begin(pid, f.now, "redist", async_id(f.job),
+                       f.action == Action::Expand ? "redistribute (expand)"
+                                                  : "redistribute (shrink)",
+                       "\"bytes\":" + std::to_string(f.report.bytes_moved) +
+                           "," + resize_args(f.from, f.to));
+    trace_.async_end(pid, f.now + f.report.seconds, "redist", async_id(f.job));
+  }
+
+  void sampled(const SampleFact& f) override {
+    trace_.counter(0, f.now, "ring depth", f.ring_depth);
+    trace_.counter(0, f.now, "utilization", f.utilization);
+  }
+
+ private:
+  TraceRecorder& trace_;
+  /// Per member: pending user jobs and the last allocation (allocated
+  /// nodes, running jobs).
+  std::vector<int> queue_depth_;
+  std::vector<int> allocated_;
+  std::vector<int> running_;
+  long long placements_ = 0;
+  long long completed_ = 0;
+  /// Jobs with an open drain span: a shrink's end closes only those.
+  std::set<JobId> open_drains_;
+};
+
+}  // namespace
+
+std::unique_ptr<Sink> make_trace_sink(TraceRecorder& trace,
+                                      const std::vector<std::string>& members) {
+  return std::make_unique<TraceSink>(trace, members);
 }
 
 }  // namespace dmr::obs

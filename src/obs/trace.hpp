@@ -17,27 +17,25 @@
 //    depth, ring depth, ...).
 //
 // Timestamps are simulated seconds converted to trace microseconds, so
-// the Perfetto timeline *is* the paper's virtual-time axis.  Every
-// record call takes the timestamp explicitly — the recorder has no
-// clock of its own, which keeps it usable from the clock-agnostic
-// layers (rms::Manager, fed::Federation) and makes tampering trivial in
-// validator tests.
-//
-// Cost discipline: instrumented code holds an `obs::TraceRecorder*`
-// that is null by default, so a disabled run pays one pointer test per
-// hook site.  An attached recorder appends into a bounded in-memory
-// ring: when the ring fills, *new* events are dropped and counted —
-// dropped() and the written JSON surface the loss, never silent
-// truncation.  All entry points are mutex-guarded (redistribution
-// strategies record from rank threads).
+// the Perfetto timeline *is* the paper's virtual-time axis.  The
+// recorder has no clock of its own: every record call takes the
+// timestamp explicitly.  The simulation layers never call it —
+// make_trace_sink() builds the lifecycle-stream subscriber that renders
+// their facts into events.  The ring is bounded: when it fills, *new*
+// events are dropped and counted — dropped() and the written JSON
+// surface the loss, never silent truncation.  All entry points are
+// mutex-guarded.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/sink.hpp"
 
 namespace dmr::obs {
 
@@ -49,7 +47,7 @@ struct TraceEvent {
   std::uint64_t id = 0;    ///< async events: scoping id (the job id)
   std::uint32_t pid = 0;   ///< process track (0 = federation, c+1 = member c)
   std::uint32_t tid = 0;   ///< thread track within the process
-  char ph = 'i';           ///< trace-event phase: B E X i C b n e
+  char ph = 'i';           ///< trace-event phase: X i C b n e
   std::string name;
   std::string cat;         ///< async events: category scoping the id
   std::string args;        ///< pre-rendered JSON object body ("\"k\":v,...")
@@ -66,13 +64,7 @@ class TraceRecorder {
   void set_process_name(std::uint32_t pid, std::string name);
   void set_thread_name(std::uint32_t pid, std::uint32_t tid, std::string name);
 
-  // --- synchronous spans on a (pid, tid) track ------------------------------
-
-  /// Begin/end span pair; per-track begin/end must balance (the strict
-  /// validator checks the stack).
-  void begin(std::uint32_t pid, std::uint32_t tid, double ts_seconds,
-             std::string name, std::string args = {});
-  void end(std::uint32_t pid, std::uint32_t tid, double ts_seconds);
+  // --- spans and instants on a (pid, tid) track -----------------------------
 
   /// Complete span at a simulated instant whose duration is measured in
   /// *wall* microseconds (schedule passes and negotiate/apply phases run
@@ -129,5 +121,14 @@ class TraceRecorder {
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string>
       thread_names_;
 };
+
+/// The Chrome-trace subscriber: renders one run's lifecycle facts into
+/// `trace`.  Federation facts land on process 0, member c's on process
+/// c + 1 (thread 0 "schedule", thread 1 "reconfig"); `members` names the
+/// federation's members in order.  The sink keeps per-run state (queue
+/// depths, counts, open drain spans), so each run gets its own; several
+/// runs may share one recorder.
+std::unique_ptr<Sink> make_trace_sink(TraceRecorder& trace,
+                                      const std::vector<std::string>& members);
 
 }  // namespace dmr::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "chk/auditor.hpp"
 #include "redist/checkpoint_route.hpp"
 #include "redist/p2p_plan.hpp"
 #include "redist/pipelined.hpp"
@@ -30,12 +29,11 @@ void Report::merge_concurrent(const Report& other) {
 }
 
 void Strategy::record(const Report& report, const Registry& registry) {
-  if (hooks_.profiler != nullptr) hooks_.profiler->add_redist(report.seconds);
-  if (hooks_.auditor != nullptr) {
-    // Real strategies run in wall time; there is no simulated clock to
-    // stamp, so violations carry t=0.
-    hooks_.auditor->on_redist_report(report, registry.total_bytes(), 0.0);
-  }
+  // Real strategies run in wall time; there is no simulated clock to
+  // stamp, so the fact carries t=0.
+  stream_.emit(obs::kRedistReport, &obs::Sink::redist_report,
+               obs::RedistFact{report, registry.total_bytes(), 0.0, false, -1,
+                               kInvalidJob, Action::None, 0, 0});
 }
 
 std::shared_ptr<Strategy> make_strategy(std::string_view name) {

@@ -16,7 +16,7 @@
 #include <string>
 #include <string_view>
 
-#include "obs/hooks.hpp"
+#include "obs/sink.hpp"
 #include "redist/buffer.hpp"
 
 namespace dmr::smpi {
@@ -72,21 +72,19 @@ class Strategy {
   /// resizing local storage to the new layout.
   virtual Report recv(const Endpoint& endpoint, Registry& registry) = 0;
 
-  /// Attach profiling/auditing: every measured send/recv Report feeds
-  /// the profiler's redistribution bucket and the auditor's
-  /// byte-conservation check.  Safe to call concurrently with nothing
-  /// (set before the strategy runs); the pointed-to sinks must outlive
-  /// the strategy.
-  void set_hooks(const obs::Hooks& hooks) { hooks_ = hooks; }
+  /// Subscribe `sink` to the `redist_report` fact: every measured
+  /// send/recv Report (wall seconds, now = 0).  Attach before the
+  /// strategy runs; subscribers are called from rank threads and must
+  /// be thread-safe.
+  void attach(obs::Sink& sink) { stream_.attach(sink); }
 
  protected:
   /// Implementations call this on every measured Report with the
-  /// registry it moved (rank threads included — the profiler is
-  /// relaxed-atomic and the auditor serializes internally).
+  /// registry it moved (rank threads included).
   void record(const Report& report, const Registry& registry);
 
  private:
-  obs::Hooks hooks_;
+  obs::Stream stream_;
 };
 
 /// Factory by name: "p2p", "pipelined" or "checkpoint" (the checkpoint

@@ -7,45 +7,52 @@
 
 namespace dmr::rms {
 
-Accounting::Accounting(Manager& manager) {
-  manager.on_start([this](const Job& job) {
-    ensure(job);
-    JobRecord& record = records_[job.id];
-    record.start_time = job.start_time;
-    record.started_nodes = job.allocated();
-    record.final_nodes = job.allocated();
-    live_[job.id] = {job.start_time, job.allocated()};
-  });
-  manager.on_resize([this](const Job& job, Action action, int old_size,
-                           int new_size, double time) {
-    ensure(job);
-    JobRecord& record = records_[job.id];
-    record.resizes.push_back(ResizeEntry{time, action, old_size, new_size});
-    record.final_nodes = new_size;
-    account_segment(record, time);
-    live_[job.id] = {time, new_size};
-  });
-  manager.on_end([this](const Job& job) {
-    ensure(job);
-    JobRecord& record = records_[job.id];
-    record.end_time = job.end_time;
-    record.final_state = job.state;
-    if (live_.count(job.id) != 0) {
-      account_segment(record, job.end_time);
-      live_.erase(job.id);
-    }
-  });
+Accounting::Accounting(Manager& manager)
+    : obs::Sink(obs::kStarted | obs::kResized | obs::kFinished) {
+  manager.attach(*this);
 }
 
-void Accounting::ensure(const Job& job) {
+void Accounting::started(const obs::JobFact& f) {
+  const Job& job = f.job;
+  if (job.spec.internal_resizer) return;
+  JobRecord& record = ensure(job);
+  record.start_time = job.start_time;
+  record.started_nodes = job.allocated();
+  record.final_nodes = job.allocated();
+  live_[job.id] = {job.start_time, job.allocated()};
+}
+
+void Accounting::resized(const obs::JobFact& f, Action action, int from,
+                         int to) {
+  JobRecord& record = ensure(f.job);
+  record.resizes.push_back(ResizeEntry{f.now, action, from, to});
+  record.final_nodes = to;
+  account_segment(record, f.now);
+  live_[f.job.id] = {f.now, to};
+}
+
+void Accounting::finished(const obs::JobFact& f) {
+  const Job& job = f.job;
+  if (job.spec.internal_resizer) return;
+  JobRecord& record = ensure(job);
+  record.end_time = job.end_time;
+  record.final_state = job.state;
+  if (live_.count(job.id) != 0) {
+    account_segment(record, job.end_time);
+    live_.erase(job.id);
+  }
+}
+
+JobRecord& Accounting::ensure(const Job& job) {
   auto [it, inserted] = records_.try_emplace(job.id);
-  if (!inserted) return;
   JobRecord& record = it->second;
+  if (!inserted) return record;
   record.id = job.id;
   record.name = job.spec.name;
   record.submitted_nodes = job.spec.requested_nodes;
   record.submit_time = job.submit_time;
   record.flexible = job.spec.flexible;
+  return record;
 }
 
 void Accounting::account_segment(JobRecord& record, double until) {

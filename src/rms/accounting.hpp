@@ -2,8 +2,9 @@
 // workload — submissions, starts, resizes, completions — with node-hour
 // integration per job.
 //
-// Attach an Accounting to a Manager before submitting; afterwards render
-// the ledger as a table or CSV, or query per-job records.
+// Attach an Accounting to a Manager before submitting (it subscribes to
+// the manager's user-job facts); afterwards render the ledger as a table
+// or CSV, or query per-job records.
 #pragma once
 
 #include <map>
@@ -39,10 +40,10 @@ struct JobRecord {
   double node_seconds = 0.0;
 };
 
-class Accounting {
+class Accounting : private obs::Sink {
  public:
-  /// Subscribes to the manager's callbacks.  The Accounting must outlive
-  /// the manager's use (callbacks hold a pointer to it).
+  /// Subscribes to the manager's lifecycle facts.  The Accounting must
+  /// outlive the manager's use (the manager holds a pointer to it).
   explicit Accounting(Manager& manager);
 
   bool has(JobId id) const { return records_.count(id) != 0; }
@@ -60,7 +61,12 @@ class Accounting {
   std::string render_csv() const;
 
  private:
-  void ensure(const Job& job);
+  void started(const obs::JobFact& f) override;
+  void resized(const obs::JobFact& f, Action action, int from, int to) override;
+  void finished(const obs::JobFact& f) override;
+
+  /// The job's record, created from its submission on first use.
+  JobRecord& ensure(const Job& job);
   void account_segment(JobRecord& record, double until);
 
   std::map<JobId, JobRecord> records_;

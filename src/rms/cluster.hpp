@@ -158,7 +158,7 @@ class Cluster {
   std::vector<int> idle_node_ids() const;
 
  private:
-  /// Test-only state corruption for auditor failure-path tests.
+  /// Test-only state corruption for the invariant checker's tests.
   friend struct ::dmr::chk::TestBackdoor;
 
   Node& mutable_node(int id);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "chk/auditor.hpp"
 #include "obs/attr.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
@@ -17,44 +16,15 @@ Cluster make_cluster(const RmsConfig& config) {
   return Cluster(config.nodes);
 }
 
-const char* action_name(Action action) {
-  switch (action) {
-    case Action::Expand:
-      return "expand";
-    case Action::Shrink:
-      return "shrink";
-    case Action::None:
-      break;
-  }
-  return "none";
-}
-
 }  // namespace
 
-Manager::Manager(RmsConfig config)
+Manager::Manager(RmsConfig config, int member)
     : config_(std::move(config)),
       cluster_(make_cluster(config_)),
-      next_id_(config_.first_job_id) {
+      next_id_(config_.first_job_id),
+      member_(member) {
   config_.scheduler.weights.cluster_size = cluster_.size();
   cluster_.set_alloc_policy(config_.scheduler.alloc);
-}
-
-void Manager::set_hooks(const obs::Hooks& hooks, std::uint32_t trace_pid) {
-  hooks_ = hooks;
-  trace_pid_ = trace_pid;
-  if (hooks_.trace != nullptr) {
-    hooks_.trace->set_thread_name(trace_pid_, 0, "schedule");
-    hooks_.trace->set_thread_name(trace_pid_, 1, "reconfig");
-  }
-}
-
-void Manager::trace_queue_depth(double now) {
-  if (hooks_.trace == nullptr) return;
-  int depth = 0;
-  for (const Job* pending : pending_jobs_) {
-    if (!pending->spec.internal_resizer) ++depth;
-  }
-  hooks_.trace->counter(trace_pid_, now, "queue depth", depth);
 }
 
 void Manager::rescale_time_limit(Job& job, double now, double ratio) {
@@ -147,19 +117,7 @@ JobId Manager::submit(JobSpec spec, double now) {
     ++unfinished_user_jobs_;
   }
   mark_queue_changed();
-  if (hooks_.auditor != nullptr) hooks_.auditor->on_job_submitted(id, now);
-  if (hooks_.attr != nullptr && !stored.spec.internal_resizer) {
-    // Resizer pseudo-jobs are excluded from attribution throughout: their
-    // wait is part of the parent's reconfiguration, not queueing.
-    hooks_.attr->on_job_submitted(id, stored.spec.name, now);
-  }
-  if (hooks_.trace != nullptr && !stored.spec.internal_resizer) {
-    hooks_.trace->async_begin(
-        trace_pid_, now, "job", static_cast<std::uint64_t>(id),
-        stored.spec.name,
-        "\"requested_nodes\":" + std::to_string(stored.requested_nodes));
-    trace_queue_depth(now);
-  }
+  stream_.emit(obs::kSubmitted, &obs::Sink::submitted, fact(stored, now));
   return id;
 }
 
@@ -177,17 +135,8 @@ void Manager::start_job(Job& job, double now) {
   ++queue_version_;
   DMR_DEBUG("rms") << "start job " << job.id << " on " << job.allocated()
                    << " nodes at t=" << now;
-  if (hooks_.auditor != nullptr) hooks_.auditor->on_job_started(job.id, now);
-  if (!job.spec.internal_resizer) {
-    if (hooks_.attr != nullptr) hooks_.attr->on_job_started(job.id, now);
-    for (const auto& cb : start_callbacks_) cb(job);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->async_instant(
-          trace_pid_, now, "job", static_cast<std::uint64_t>(job.id), "start",
-          "\"nodes\":" + std::to_string(job.allocated()));
-    }
-  }
-  notify_alloc();
+  stream_.emit(obs::kStarted, &obs::Sink::started, fact(job, now));
+  notify_alloc(now);
 }
 
 void Manager::add_nodes(int count, const std::string& partition) {
@@ -203,8 +152,8 @@ void Manager::add_nodes(int count, const std::string& partition) {
   // The multifactor size weight normalizes by the cluster size; keep it
   // in step so priorities stay comparable after the growth.
   config_.scheduler.weights.cluster_size = cluster_.size();
+  // Idle nodes change no allocation: no alloc_changed fact.
   mark_queue_changed();
-  notify_alloc();
 }
 
 std::vector<JobId> Manager::schedule(double now) {
@@ -214,8 +163,9 @@ std::vector<JobId> Manager::schedule(double now) {
     ++counters_.schedule_passes_saved;
     return started;
   }
-  const bool instrumented = hooks_.any();
-  const double wall_start = instrumented ? util::wall_seconds() : 0.0;
+  const bool timed = stream_.wants(obs::kSchedulePass);
+  const bool diagnose = stream_.wants(obs::kBlocked);
+  const double wall_start = timed ? util::wall_seconds() : 0.0;
   const long long passes_before = counters_.schedule_passes;
   placements_dirty_ = false;
   const bool heterogeneous = cluster_.partition_count() > 1;
@@ -256,16 +206,13 @@ std::vector<JobId> Manager::schedule(double now) {
     }
     std::vector<BlockDiag> blocked;
     std::vector<Job*> to_start = schedule_pass(
-        view, config_.scheduler, hooks_.attr != nullptr ? &blocked : nullptr);
-    if (hooks_.attr != nullptr) {
-      // Report before the starts: a job diagnosed here and started by a
-      // later round of this same fixpoint only accrues a zero-length
-      // segment at `now`, which the attributor drops.
-      for (const BlockDiag& diag : blocked) {
-        if (diag.job->spec.internal_resizer) continue;
-        hooks_.attr->on_job_blocked(diag.job->id, now, diag.cause,
-                                    diag.blocker);
-      }
+        view, config_.scheduler, diagnose ? &blocked : nullptr);
+    // Report before the starts: a job diagnosed here and started by a
+    // later round of this same fixpoint only accrues a zero-length
+    // segment at `now`.
+    for (const BlockDiag& diag : blocked) {
+      stream_.emit(obs::kBlocked, &obs::Sink::blocked, fact(*diag.job, now),
+                   diag.cause, diag.blocker);
     }
     Job* molded = nullptr;
     if (to_start.empty()) {
@@ -325,29 +272,22 @@ std::vector<JobId> Manager::schedule(double now) {
       break;
     }
   }
-  if (hooks_.attr != nullptr) {
+  if (diagnose) {
     // Jobs the pass never saw: pending but ineligible because their
-    // dependency is not running yet (user-level depends_on chains; the
-    // resizer pseudo-jobs that also gate this way are excluded).
+    // dependency is not running yet.
     for (const Job* job : pending_jobs_) {
-      if (job->spec.internal_resizer || eligible(*job)) continue;
-      hooks_.attr->on_job_blocked(
-          job->id, now, obs::BlockReason::kDependency,
-          job->spec.depends_on ? *job->spec.depends_on : 0);
+      if (eligible(*job)) continue;
+      stream_.emit(obs::kBlocked, &obs::Sink::blocked, fact(*job, now),
+                   obs::BlockReason::kDependency,
+                   job->spec.depends_on ? *job->spec.depends_on : 0);
     }
   }
-  if (instrumented) {
-    const double wall = util::wall_seconds() - wall_start;
-    if (hooks_.auditor != nullptr) hooks_.auditor->check_manager(*this, now);
-    if (hooks_.profiler != nullptr) hooks_.profiler->add_schedule(wall);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->complete(
-          trace_pid_, 0, now, wall * 1.0e6, "schedule",
-          "\"passes\":" +
-              std::to_string(counters_.schedule_passes - passes_before) +
-              ",\"started\":" + std::to_string(started.size()));
-      trace_queue_depth(now);
-    }
+  if (timed) {
+    stream_.emit(obs::kSchedulePass, &obs::Sink::schedule_pass,
+                 obs::PassFact{*this, member_, now,
+                               util::wall_seconds() - wall_start,
+                               counters_.schedule_passes - passes_before,
+                               started.size()});
   }
   return started;
 }
@@ -371,31 +311,15 @@ void Manager::finish_job(Job& job, double now, JobState final_state) {
   if (was_pending) remove_from(pending_jobs_, &job);
   job.state = final_state;
   job.end_time = now;
-  if (hooks_.auditor != nullptr) hooks_.auditor->on_job_finished(job.id, now);
-  if (hooks_.attr != nullptr && !job.spec.internal_resizer) {
-    hooks_.attr->on_job_finished(job.id, now);
-  }
-  if (hooks_.trace != nullptr && open_drain_spans_.erase(job.id) != 0) {
-    // A job can end while still draining; close its drain span so the
-    // trace stays balanced.
-    hooks_.trace->async_end(trace_pid_, now, "reconfig",
-                            static_cast<std::uint64_t>(job.id), "drain");
-  }
-  if (!job.spec.internal_resizer) {
-    --unfinished_user_jobs_;
-    for (const auto& cb : end_callbacks_) cb(job);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->async_end(trace_pid_, now, "job",
-                              static_cast<std::uint64_t>(job.id));
-    }
-  }
+  if (!job.spec.internal_resizer) --unfinished_user_jobs_;
+  stream_.emit(obs::kFinished, &obs::Sink::finished, fact(job, now));
   ++queue_version_;
   // Released nodes or a removed queue entry (a new head) can both change
   // the next placement decision; a node-less exit (resizer harvest)
   // cannot.
   if (released_nodes || was_pending) placements_dirty_ = true;
   cancel_dependents(job.id, now);
-  notify_alloc();
+  notify_alloc(now);
 }
 
 void Manager::cancel_dependents(JobId parent, double now) {
@@ -513,14 +437,13 @@ PolicyDecision Manager::dmr_decide(JobId id, const DmrRequest& request,
       }
     }
   }
-  if (hooks_.trace == nullptr) return reconfiguration_policy(view, request);
+  if (!stream_.wants(obs::kNegotiated)) {
+    return reconfiguration_policy(view, request);
+  }
   const double wall_start = util::wall_seconds();
   PolicyDecision decision = reconfiguration_policy(view, request);
-  hooks_.trace->complete(
-      trace_pid_, 1, now, (util::wall_seconds() - wall_start) * 1.0e6,
-      "negotiate",
-      "\"job\":" + std::to_string(id) + ",\"action\":\"" +
-          action_name(decision.action) + "\"");
+  stream_.emit(obs::kNegotiated, &obs::Sink::negotiated, fact(job, now),
+               decision.action, util::wall_seconds() - wall_start);
   return decision;
 }
 
@@ -531,20 +454,12 @@ DmrOutcome Manager::dmr_check(JobId id, const DmrRequest& request,
 
 DmrOutcome Manager::dmr_apply(JobId id, const PolicyDecision& decision,
                               double now) {
-  if (!hooks_.any()) return dmr_apply_impl(id, decision, now);
+  if (!stream_.wants(obs::kApplied)) return dmr_apply_impl(id, decision, now);
   const double wall_start = util::wall_seconds();
   DmrOutcome outcome = dmr_apply_impl(id, decision, now);
-  if (hooks_.trace != nullptr) {
-    hooks_.trace->complete(
-        trace_pid_, 1, now, (util::wall_seconds() - wall_start) * 1.0e6,
-        "apply",
-        "\"job\":" + std::to_string(id) + ",\"action\":\"" +
-            action_name(outcome.action) +
-            "\",\"aborted\":" + (outcome.aborted ? "true" : "false"));
-    hooks_.trace->counter(
-        trace_pid_, now, "reconfigs",
-        static_cast<double>(counters_.expands + counters_.shrinks));
-  }
+  stream_.emit(obs::kApplied, &obs::Sink::applied, fact(job(id), now),
+               outcome.action, outcome.aborted,
+               util::wall_seconds() - wall_start);
   return outcome;
 }
 
@@ -587,24 +502,13 @@ DmrOutcome Manager::dmr_apply_impl(JobId id, const PolicyDecision& decision,
       outcome.added_nodes = harvest_resizer(rj, now);
       ++job.expansions;
       ++counters_.expands;
-      if (hooks_.auditor != nullptr) {
-        hooks_.auditor->on_job_resized(id, now);
-        hooks_.auditor->check_manager(*this, now);
-      }
       rescale_time_limit(job, now,
                          static_cast<double>(decision.new_size - extra) /
                              static_cast<double>(decision.new_size));
-      for (const auto& cb : resize_callbacks_) {
-        cb(job, Action::Expand, decision.new_size - extra, decision.new_size,
-           now);
-      }
-      if (hooks_.trace != nullptr) {
-        hooks_.trace->async_instant(
-            trace_pid_, now, "job", static_cast<std::uint64_t>(id), "expand",
-            "\"from\":" + std::to_string(decision.new_size - extra) +
-                ",\"to\":" + std::to_string(decision.new_size));
-      }
-      notify_alloc();
+      stream_.emit(obs::kResized, &obs::Sink::resized, fact(job, now),
+                   Action::Expand, decision.new_size - extra,
+                   decision.new_size);
+      notify_alloc(now);
       DMR_DEBUG("rms") << "job " << id << " expanded to " << job.allocated()
                        << " nodes at t=" << now;
       return outcome;
@@ -639,17 +543,8 @@ DmrOutcome Manager::dmr_apply_impl(JobId id, const PolicyDecision& decision,
         }
       }
       ++counters_.shrinks;
-      if (hooks_.auditor != nullptr) {
-        hooks_.auditor->on_shrink_begun(id, now);
-        hooks_.auditor->check_manager(*this, now);
-      }
-      if (hooks_.trace != nullptr) {
-        hooks_.trace->async_begin(
-            trace_pid_, now, "reconfig", static_cast<std::uint64_t>(id),
-            "drain",
-            "\"nodes\":" + std::to_string(outcome.draining_nodes.size()));
-        open_drain_spans_.insert(id);
-      }
+      stream_.emit(obs::kShrinkBegun, &obs::Sink::shrink_begun, fact(job, now),
+                   static_cast<int>(outcome.draining_nodes.size()));
       DMR_DEBUG("rms") << "job " << id << " shrinking to "
                        << decision.new_size << " nodes at t=" << now;
       return outcome;
@@ -681,24 +576,11 @@ void Manager::complete_shrink(JobId id, double now) {
   user_allocated_nodes_ -= static_cast<int>(draining.size());
   ++job.shrinks;
   mark_queue_changed();
-  if (hooks_.auditor != nullptr) {
-    hooks_.auditor->on_shrink_ended(id, now);
-    hooks_.auditor->check_manager(*this, now);
-  }
-  for (const auto& cb : resize_callbacks_) {
-    cb(job, Action::Shrink, old_size, job.allocated(), now);
-  }
-  if (hooks_.trace != nullptr) {
-    if (open_drain_spans_.erase(id) != 0) {
-      hooks_.trace->async_end(trace_pid_, now, "reconfig",
-                              static_cast<std::uint64_t>(id), "drain");
-    }
-    hooks_.trace->async_instant(
-        trace_pid_, now, "job", static_cast<std::uint64_t>(id), "shrink",
-        "\"from\":" + std::to_string(old_size) +
-            ",\"to\":" + std::to_string(job.allocated()));
-  }
-  notify_alloc();
+  stream_.emit(obs::kShrinkEnded, &obs::Sink::shrink_ended, fact(job, now),
+               /*completed=*/true);
+  stream_.emit(obs::kResized, &obs::Sink::resized, fact(job, now),
+               Action::Shrink, old_size, job.allocated());
+  notify_alloc(now);
   DMR_DEBUG("rms") << "job " << id << " shrunk to " << job.allocated()
                    << " nodes at t=" << now;
   schedule(now);
@@ -713,16 +595,10 @@ void Manager::abort_shrink(JobId id, double now) {
   cluster_.set_draining(draining, false);
   // The releases the drain-aware shadow promised are off again.
   placements_dirty_ = true;
-  if (hooks_.auditor != nullptr && !draining.empty()) {
-    // An abort with no draining nodes never had a begun shrink to end.
-    hooks_.auditor->on_shrink_ended(id, now);
-  }
-  if (hooks_.trace != nullptr && open_drain_spans_.erase(id) != 0) {
-    hooks_.trace->async_instant(trace_pid_, now, "reconfig",
-                                static_cast<std::uint64_t>(id),
-                                "drain aborted");
-    hooks_.trace->async_end(trace_pid_, now, "reconfig",
-                            static_cast<std::uint64_t>(id), "drain");
+  // An abort with no draining nodes never had a begun shrink to end.
+  if (!draining.empty()) {
+    stream_.emit(obs::kShrinkEnded, &obs::Sink::shrink_ended, fact(job, now),
+                 /*completed=*/false);
   }
   DMR_DEBUG("rms") << "job " << id << " shrink aborted at t=" << now;
 }
@@ -791,11 +667,10 @@ const std::vector<const Job*>& Manager::running_snapshot() const {
   return running_cache_;
 }
 
-void Manager::notify_alloc() {
-  if (alloc_callbacks_.empty()) return;
-  for (const auto& cb : alloc_callbacks_) {
-    cb(user_allocated_nodes_, user_running_jobs_);
-  }
+void Manager::notify_alloc(double now) {
+  stream_.emit(obs::kAllocChanged, &obs::Sink::alloc_changed,
+               obs::AllocFact{member_, now, user_allocated_nodes_,
+                              user_running_jobs_});
 }
 
 }  // namespace dmr::rms

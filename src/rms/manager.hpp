@@ -27,13 +27,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include "dmr/rms.hpp"
-#include "obs/hooks.hpp"
+#include "obs/sink.hpp"
 #include "rms/cluster.hpp"
 #include "rms/job.hpp"
 #include "rms/policy.hpp"
@@ -66,7 +64,9 @@ using DmrOutcome = ::dmr::Outcome;
 /// The reference implementation of the public `dmr::Rms` interface.
 class Manager : public ::dmr::Rms {
  public:
-  explicit Manager(RmsConfig config);
+  /// `member`: this manager's index in a fed::Federation, carried by
+  /// every fact it emits.
+  explicit Manager(RmsConfig config, int member = 0);
 
   // --- job lifecycle -------------------------------------------------------
 
@@ -144,26 +144,12 @@ class Manager : public ::dmr::Rms {
 
   // --- instrumentation -------------------------------------------------------
 
-  using JobCallback = std::function<void(const Job&)>;
-  void on_start(JobCallback cb) { start_callbacks_.push_back(std::move(cb)); }
-  void on_end(JobCallback cb) { end_callbacks_.push_back(std::move(cb)); }
-  /// Fired after any allocation change: (allocated nodes, running jobs).
-  using AllocCallback = std::function<void(int, int)>;
-  void on_alloc_change(AllocCallback cb) {
-    alloc_callbacks_.push_back(std::move(cb));
-  }
-  /// Fired when a resize is applied: (job, action, old size, new size,
-  /// time).  Expansion fires on grant; shrink fires on completion.
-  using ResizeCallback =
-      std::function<void(const Job&, Action, int, int, double)>;
-  void on_resize(ResizeCallback cb) {
-    resize_callbacks_.push_back(std::move(cb));
-  }
-
-  /// Attach tracing/profiling.  `trace_pid` is the process track this
-  /// manager's events land on (a fed::Federation assigns member c the
-  /// track c+1; standalone drivers use 1, leaving 0 for global tracks).
-  void set_hooks(const obs::Hooks& hooks, std::uint32_t trace_pid);
+  /// Subscribe `sink` to this manager's facts (obs/sink.hpp): job
+  /// submitted / started / resized / shrink begun / shrink ended /
+  /// finished / blocked, schedule passes, negotiate and apply phases, and
+  /// allocation changes.  Expansion is a resize on grant, shrink on
+  /// completion.
+  void attach(obs::Sink& sink) { stream_.attach(sink); }
 
   /// Counters for the evaluation section.
   struct Counters {
@@ -184,7 +170,7 @@ class Manager : public ::dmr::Rms {
   const Counters& counters() const { return counters_; }
 
  private:
-  /// Test-only state corruption for auditor failure-path tests.
+  /// Test-only state corruption for the invariant checker's tests.
   friend struct ::dmr::chk::TestBackdoor;
 
   static constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
@@ -209,8 +195,10 @@ class Manager : public ::dmr::Rms {
   void finish_job(Job& job, double now, JobState final_state);
   void cancel_dependents(JobId parent, double now);
   bool eligible(const Job& job) const;
-  void notify_alloc();
-  void trace_queue_depth(double now);
+  obs::JobFact fact(const Job& job, double now) const {
+    return {*this, job, member_, now};
+  }
+  void notify_alloc(double now);
   /// A queue/allocation event happened: placements may change and the
   /// snapshot caches are stale.
   void mark_queue_changed();
@@ -225,11 +213,8 @@ class Manager : public ::dmr::Rms {
   JobId next_id_;
   Counters counters_;
 
-  obs::Hooks hooks_;
-  std::uint32_t trace_pid_ = 1;
-  /// Jobs with an open drain span in the trace, so complete/abort only
-  /// closes spans this recorder opened (hooks can attach mid-run).
-  std::set<JobId> open_drain_spans_;
+  int member_;
+  obs::Stream stream_;
 
   // --- live-set indices (the incremental-scheduling state) -----------------
   std::vector<Job*> pending_jobs_;  // every pending job, resizers included
@@ -240,7 +225,7 @@ class Manager : public ::dmr::Rms {
   long long unfinished_user_jobs_ = 0;
   /// Exact (allocated nodes, running jobs) over non-internal running
   /// jobs, maintained at every allocation mutation so notify_alloc() is
-  /// O(callbacks) instead of a running-set scan per start/finish.
+  /// O(1) instead of a running-set scan per start/finish.
   int user_allocated_nodes_ = 0;
   int user_running_jobs_ = 0;
   bool placements_dirty_ = true;
@@ -255,11 +240,6 @@ class Manager : public ::dmr::Rms {
   mutable std::vector<const Job*> pending_cache_;
   mutable std::uint64_t running_cache_version_ = 0;
   mutable std::vector<const Job*> running_cache_;
-
-  std::vector<JobCallback> start_callbacks_;
-  std::vector<JobCallback> end_callbacks_;
-  std::vector<AllocCallback> alloc_callbacks_;
-  std::vector<ResizeCallback> resize_callbacks_;
 };
 
 }  // namespace dmr::rms

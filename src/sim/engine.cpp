@@ -3,49 +3,12 @@
 #include <bit>
 #include <cmath>
 
-#include "chk/auditor.hpp"
-#include "obs/profiler.hpp"
 #include "util/log.hpp"
 
 namespace dmr::sim {
 
-namespace detail {
-
-void* CallbackArena::allocate(std::size_t size) {
-  const int cls = class_of(size);
-  if (cls < 0) return ::operator new(size);
-  const std::size_t bytes = std::size_t(64) << cls;
-  if (free_[cls] != nullptr) {
-    FreeNode* node = free_[cls];
-    free_[cls] = node->next;
-    return node;
-  }
-  if (cursor_left_ < bytes) {
-    blocks_.push_back(std::make_unique<unsigned char[]>(kBlockBytes));
-    cursor_ = blocks_.back().get();
-    cursor_left_ = kBlockBytes;
-  }
-  unsigned char* p = cursor_;
-  cursor_ += bytes;
-  cursor_left_ -= bytes;
-  return p;
-}
-
-void CallbackArena::deallocate(void* p, std::size_t size) {
-  const int cls = class_of(size);
-  if (cls < 0) {
-    ::operator delete(p);
-    return;
-  }
-  FreeNode* node = static_cast<FreeNode*>(p);
-  node->next = free_[cls];
-  free_[cls] = node;
-}
-
-}  // namespace detail
-
 struct Engine::CallbackChunk {
-  detail::ArenaCallback slots[kChunkSlots];
+  detail::InlineCallback slots[kChunkSlots];
 };
 
 Engine::Engine() = default;
@@ -54,11 +17,11 @@ Engine::~Engine() {
   // Live closures may own resources (captured std::functions, strings):
   // destroy every armed callback.  Empty slots are a no-op.
   for (std::uint32_t slot = 0; slot < gens_.size(); ++slot) {
-    slot_callback(slot).destroy(arena_);
+    slot_callback(slot).destroy();
   }
 }
 
-detail::ArenaCallback& Engine::slot_callback(std::uint32_t slot) {
+detail::InlineCallback& Engine::slot_callback(std::uint32_t slot) {
   return chunks_[slot / kChunkSlots]->slots[slot % kChunkSlots];
 }
 
@@ -77,7 +40,7 @@ std::uint32_t Engine::allocate_slot() {
 }
 
 void Engine::release_slot(std::uint32_t slot) {
-  slot_callback(slot).destroy(arena_);
+  slot_callback(slot).destroy();
   // Generation 0 is reserved so no EventId ever equals kInvalidEvent.
   if (++gens_[slot] == 0) gens_[slot] = 1;
   free_slots_.push_back(slot);
@@ -337,25 +300,25 @@ bool Engine::step() {
   const Entry entry = active_.back();
   active_.pop_back();
   --size_;
-  if (auditor_ != nullptr) {
+  if (stream_.wants(obs::kDispatched)) {
     // Report against the pre-advance clock; next_seq_ is the watermark
     // separating events that coexisted in the queue from ones the
     // upcoming callback will schedule.
-    auditor_->on_event_dispatch(entry.time,
-                                static_cast<int>(entry.lane_seq >> kSeqBits),
-                                entry.lane_seq & kSeqMask, now_, next_seq_);
+    const auto lane = static_cast<int>(entry.lane_seq >> kSeqBits);
+    stream_.emit(obs::kDispatched, &obs::Sink::dispatched,
+                 obs::DispatchFact{entry.time, lane, entry.lane_seq & kSeqMask,
+                                   now_, next_seq_});
   }
   now_ = entry.time;
-  detail::ArenaCallback& callback = slot_callback(entry.slot);
+  detail::InlineCallback& callback = slot_callback(entry.slot);
   // The event is no longer pending from the callback's point of view
   // (cancel(own id) returns false, matching the old engine) but the slot
   // is not reusable until the closure has run and been destroyed.
   if (++gens_[entry.slot] == 0) gens_[entry.slot] = 1;
   --live_count_;
   ++executed_;
-  if (profiler_ != nullptr) profiler_->on_event();
   if (!callback.empty()) callback.invoke();
-  callback.destroy(arena_);
+  callback.destroy();
   free_slots_.push_back(entry.slot);
   return true;
 }

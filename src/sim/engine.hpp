@@ -29,9 +29,17 @@
 //    its callback storage eagerly; a stale 24-byte queue entry remains
 //    until its day is reached or a sweep collects it.
 //
-//  - Callbacks live in a small-buffer inline type (detail::ArenaCallback)
-//    inside stable slot chunks; oversized captures go to a slab arena.
-//    No per-event std::function heap churn on the hot path.
+//  - Callbacks live in a small-buffer inline type (detail::InlineCallback)
+//    inside stable slot chunks; a capture over 48 bytes (none the
+//    simulator schedules) falls back to new/delete.  No per-event
+//    std::function heap churn on the hot path.
+//
+// Why a calendar and not a plain heap: a 4-ary heap over the same slot
+// arena passes every golden digest and is ~200 lines shorter, but
+// archive replays queue tens of thousands of arrivals up front, and the
+// heap's sift depth over that backlog cost ~12% throughput on the
+// archive_hiload benchmark (every heap run slower than every calendar
+// run); fig10 and fed_checked were within noise.
 #pragma once
 
 #include <algorithm>
@@ -46,13 +54,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/sink.hpp"
+
 namespace dmr::chk {
-class Auditor;
 struct TestBackdoor;
 }  // namespace dmr::chk
-namespace dmr::obs {
-class Profiler;
-}
 
 namespace dmr::sim {
 
@@ -77,94 +83,51 @@ enum class Lane : std::uint8_t {
 
 namespace detail {
 
-/// Slab arena for callback captures too large for ArenaCallback's inline
-/// buffer: size-class free lists carved from 64 KiB blocks.  Freed chunks
-/// are recycled, blocks are never returned until the arena dies, and
-/// anything beyond the largest class falls through to operator new.
-class CallbackArena {
- public:
-  CallbackArena() = default;
-  CallbackArena(const CallbackArena&) = delete;
-  CallbackArena& operator=(const CallbackArena&) = delete;
-
-  void* allocate(std::size_t size);
-  void deallocate(void* p, std::size_t size);
-
- private:
-  static constexpr std::size_t kBlockBytes = std::size_t(64) << 10;
-  static constexpr int kClasses = 5;  // 64, 128, 256, 512, 1024 bytes
-
-  static int class_of(std::size_t size) {
-    std::size_t bytes = 64;
-    for (int c = 0; c < kClasses; ++c, bytes <<= 1) {
-      if (size <= bytes) return c;
-    }
-    return -1;
-  }
-
-  struct FreeNode {
-    FreeNode* next;
-  };
-  FreeNode* free_[kClasses] = {};
-  std::vector<std::unique_ptr<unsigned char[]>> blocks_;
-  unsigned char* cursor_ = nullptr;
-  std::size_t cursor_left_ = 0;
-};
-
-/// Move-free small-buffer callable.  Callables up to kInlineBytes are
-/// constructed in place; larger captures live in the arena.  The object
-/// never moves (slots sit in stable chunks), so the callable needs no
-/// move constructor and no virtual dispatch — two function pointers.
-class ArenaCallback {
+/// Move-free small-buffer callable.  Callables up to kInlineBytes (every
+/// capture the simulator schedules) are constructed in place; larger
+/// ones fall back to new/delete.  The object never moves (slots sit in
+/// stable chunks), so the callable needs no move constructor and no
+/// virtual dispatch — two function pointers.
+class InlineCallback {
  public:
   static constexpr std::size_t kInlineBytes = 48;
 
-  ArenaCallback() = default;
-  ArenaCallback(const ArenaCallback&) = delete;
-  ArenaCallback& operator=(const ArenaCallback&) = delete;
+  InlineCallback() = default;
+  InlineCallback(const InlineCallback&) = delete;
+  InlineCallback& operator=(const InlineCallback&) = delete;
 
   bool empty() const { return invoke_ == nullptr; }
 
   template <typename F>
-  void emplace(F&& fn, CallbackArena& arena) {
+  void emplace(F&& fn) {
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_v<Fn&>,
-                  "ArenaCallback: callable must be invocable with ()");
+                  "InlineCallback: callable must be invocable with ()");
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "ArenaCallback: over-aligned captures unsupported");
-    void* target;
+                  "InlineCallback: over-aligned captures unsupported");
     if constexpr (sizeof(Fn) <= kInlineBytes) {
-      heap_ = nullptr;
-      heap_bytes_ = 0;
-      target = buf_;
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
+      destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
     } else {
-      heap_ = arena.allocate(sizeof(Fn));
-      heap_bytes_ = static_cast<std::uint32_t>(sizeof(Fn));
-      target = heap_;
+      // The buffer holds the pointer to a heap copy.
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+      invoke_ = [](void* p) { (**static_cast<Fn**>(p))(); };
+      destroy_ = [](void* p) { delete *static_cast<Fn**>(p); };
     }
-    ::new (target) Fn(std::forward<F>(fn));
-    invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
-    destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
   }
 
-  void invoke() { invoke_(heap_ != nullptr ? heap_ : buf_); }
+  void invoke() { invoke_(buf_); }
 
-  void destroy(CallbackArena& arena) {
+  void destroy() {
     if (invoke_ == nullptr) return;
-    destroy_(heap_ != nullptr ? heap_ : buf_);
-    if (heap_ != nullptr) {
-      arena.deallocate(heap_, heap_bytes_);
-      heap_ = nullptr;
-    }
+    destroy_(buf_);
     invoke_ = nullptr;
-    destroy_ = nullptr;
   }
 
  private:
   void (*invoke_)(void*) = nullptr;
   void (*destroy_)(void*) = nullptr;
-  void* heap_ = nullptr;
-  std::uint32_t heap_bytes_ = 0;
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
@@ -172,10 +135,6 @@ class ArenaCallback {
 
 class Engine {
  public:
-  /// Historical alias; schedule_at accepts any void() callable directly
-  /// (a raw lambda avoids the std::function indirection entirely).
-  using Callback = std::function<void()>;
-
   Engine();  // out of line: CallbackChunk is incomplete here
   ~Engine();
   /// Pinned: slot chunks hold live closures that may capture `this`.
@@ -189,7 +148,7 @@ class Engine {
   template <typename F>
   EventId schedule_at(SimTime at, F&& fn, Lane lane = Lane::Normal) {
     const EventId id = schedule_slot(at, lane);
-    slot_callback(slot_of(id)).emplace(std::forward<F>(fn), arena_);
+    slot_callback(slot_of(id)).emplace(std::forward<F>(fn));
     return id;
   }
 
@@ -248,17 +207,12 @@ class Engine {
   /// Events executed so far (monotone counter, for tests/telemetry).
   std::uint64_t executed() const { return executed_; }
 
-  /// Count every dispatched event into `profiler` (null detaches; the
-  /// disabled path is one pointer test per event).
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-
-  /// Report every dispatch to the invariant auditor: clock monotonicity
-  /// plus (time, lane, seq) order between events that coexisted in the
-  /// queue (null detaches; one pointer test per event).
-  void set_auditor(chk::Auditor* auditor) { auditor_ = auditor; }
+  /// Subscribe `sink` to the `dispatched` fact: one per event, before
+  /// the clock advances (unconsumed, one bit test per event).
+  void attach(obs::Sink& sink) { stream_.attach(sink); }
 
  private:
-  /// Test-only state corruption for auditor failure-path tests.
+  /// Test-only state corruption for the invariant checker's tests.
   friend struct ::dmr::chk::TestBackdoor;
 
   /// One queued occurrence of an event: 24 bytes, trivially copyable.
@@ -297,7 +251,7 @@ class Engine {
   /// by the schedule_at template after this returns.
   EventId schedule_slot(SimTime at, Lane lane);
   std::uint32_t allocate_slot();
-  detail::ArenaCallback& slot_callback(std::uint32_t slot);
+  detail::InlineCallback& slot_callback(std::uint32_t slot);
   /// Destroy the callback, bump the generation and free the slot.
   void release_slot(std::uint32_t slot);
 
@@ -324,8 +278,7 @@ class Engine {
   std::size_t size_ = 0;   // calendar entries, stale included
   std::size_t stale_ = 0;  // cancelled entries not yet collected
   bool stop_requested_ = false;
-  obs::Profiler* profiler_ = nullptr;
-  chk::Auditor* auditor_ = nullptr;
+  obs::Stream stream_;
 
   // --- calendar ------------------------------------------------------------
   double width_ = 1.0;                     // day length (seconds)
@@ -352,7 +305,6 @@ class Engine {
   std::vector<std::uint32_t> free_slots_;
   struct CallbackChunk;                    // stable storage: never moves
   std::vector<std::unique_ptr<CallbackChunk>> chunks_;
-  detail::CallbackArena arena_;
 };
 
 /// Repeating timer helper: fires `fn` every `period` until stop() or the

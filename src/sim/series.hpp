@@ -1,4 +1,4 @@
-// Named step-series trace recorder.
+// Named step-series recorder.
 //
 // The workload driver records "allocated nodes", "running jobs" and
 // "completed jobs" against virtual time; bench binaries turn the recorded
@@ -14,9 +14,9 @@
 
 namespace dmr::sim {
 
-class TraceRecorder {
+class SeriesRecorder {
  public:
-  explicit TraceRecorder(const Engine& engine) : engine_(&engine) {}
+  explicit SeriesRecorder(const Engine& engine) : engine_(&engine) {}
 
   /// Record the new value of a series at the engine's current time.
   void record(const std::string& series, double value);

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "apps/models.hpp"
-#include "chk/auditor.hpp"
 
 namespace dmr::svc {
 
@@ -26,24 +25,16 @@ drv::DriverConfig attributed_driver(const ServiceConfig& config,
 }  // namespace
 
 Service::Service(ServiceConfig config)
-    : config_(config),
+    : obs::Sink(obs::kFinished | obs::kResized),
+      config_(config),
       attr_ptr_(config.driver.hooks.attr != nullptr
                     ? config.driver.hooks.attr
                     : (config.attribute_waits ? &attr_ : nullptr)),
       driver_(engine_, attributed_driver(config, &attr_)),
       queue_(config.queue_capacity),
       window_(config.window, config.sample_period) {
-  // Windowed collectors feed off the same RMS callbacks the trace uses.
-  fed::Federation& federation = driver_.federation_mutable();
-  federation.on_end([this](const rms::Job& job) {
-    window_.observe_completion(job.wait_time(), job.completion_time());
-  });
-  for (int c = 0; c < federation.cluster_count(); ++c) {
-    federation.manager(c).on_resize(
-        [this](const rms::Job&, rms::Action, int, int, double) {
-          window_.observe_reconfig();
-        });
-  }
+  // The windowed collectors subscribe to the same stream the trace does.
+  driver_.attach(*this);
   // The sampler chain: one Lane::Sample event per period, rescheduling
   // itself forever.  Sample events fire after every state-changing event
   // at the same instant, so a sample at t reports the settled state.
@@ -52,6 +43,15 @@ Service::Service(ServiceConfig config)
     engine_.schedule_after(config_.sample_period, sampler_, sim::Lane::Sample);
   };
   engine_.schedule_after(config_.sample_period, sampler_, sim::Lane::Sample);
+}
+
+void Service::finished(const obs::JobFact& f) {
+  if (f.job.spec.internal_resizer) return;
+  window_.observe_completion(f.job.wait_time(), f.job.completion_time());
+}
+
+void Service::resized(const obs::JobFact&, Action, int, int) {
+  window_.observe_reconfig();
 }
 
 bool Service::submit(JobRequest request) {
@@ -129,7 +129,7 @@ void Service::take_sample() {
   const double t1 = engine_.now();
   double t0 = std::max(0.0, t1 - window_.window_seconds());
   if (first_arrival_ >= 0.0) t0 = std::max(t0, first_arrival_);
-  const sim::TraceRecorder& trace = driver_.trace();
+  const sim::SeriesRecorder& trace = driver_.trace();
   if (first_arrival_ >= 0.0 && t1 > t0 && trace.has("allocated")) {
     sample.utilization =
         trace.average("allocated", t0, t1) / federation.total_nodes();
@@ -152,19 +152,11 @@ void Service::take_sample() {
           obs::block_reason_key(static_cast<obs::BlockReason>(r)));
     }
   }
-  if (obs::TraceRecorder* recorder = config_.driver.hooks.trace) {
-    recorder->counter(0, t1, "ring depth", sample.ring_depth);
-    recorder->counter(0, t1, "utilization", sample.utilization);
-  }
-  if (chk::Auditor* auditor = config_.driver.hooks.auditor) {
-    // The sampler is the service's steady heartbeat: audit the settled
-    // post-event state it is defined to observe (Lane::Sample fires
-    // after every state change at the same instant).
-    auditor->check_federation(federation, t1);
-    for (int c = 0; c < federation.cluster_count(); ++c) {
-      auditor->check_manager(federation.manager(c), t1);
-    }
-  }
+  // Lane::Sample fires after every state change at the same instant, so
+  // subscribers see the settled post-event state.
+  driver_.stream().emit(
+      obs::kSampled, &obs::Sink::sampled,
+      obs::SampleFact{federation, t1, sample.ring_depth, sample.utilization});
   window_.rotate();
   samples_.push_back(sample);
   lines_.push_back(sample.to_json());

@@ -56,10 +56,11 @@ struct ServiceConfig {
   bool attribute_waits = true;
 };
 
-class Service {
+class Service : private obs::Sink {
  public:
   explicit Service(ServiceConfig config);
-  /// Pinned: engine events and RMS callbacks capture `this`.
+  /// Pinned: engine events capture `this`, and it is a subscriber of
+  /// the driver's stream.
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
@@ -143,6 +144,10 @@ class Service {
   /// JobRequest -> JobPlan (the FS model, mirroring plans_from_workload).
   drv::JobPlan to_plan(const JobRequest& request) const;
   void take_sample();
+  /// The metrics window's subscription: completions and applied
+  /// resizes of user jobs.
+  void finished(const obs::JobFact& f) override;
+  void resized(const obs::JobFact& f, Action action, int from, int to) override;
 
   ServiceConfig config_;
   sim::Engine engine_;

@@ -66,73 +66,120 @@ TEST(CalendarGolden, ServiceReplaySeedSweep) {
 // schedule/cancel interleavings — including schedules issued from inside
 // running callbacks — are checked against a reference sort of exactly
 // the surviving (time, lane, seq) keys.
-TEST(CalendarOrdering, RandomScheduleCancelMatchesReferenceSort) {
-  for (std::uint32_t round = 0; round < 20; ++round) {
-    std::mt19937_64 rng(round * 7919 + 13);
-    Engine engine;
-    // key = (time, lane, issue index); issue index stands in for the
-    // engine's internal sequence number — both count schedule calls.
-    using Key = std::tuple<double, int, int>;
-    std::vector<Key> expected;
-    std::vector<Key> fired;
-    std::vector<EventId> ids;
-    std::vector<Key> keys;
-    int issued = 0;
+struct OrderingInput {
+  std::uint64_t seed;
+  int upfront;  // cancellable events scheduled before the run
+  int chained;  // events that reschedule one more from inside the run
+  /// Run to this time first, then schedule `more` cancellable events
+  /// (0: no pause).
+  double pause_at;
+  int more;
+  /// Each pending cancellable event is cancelled when a draw from
+  /// [0, cancel_of) falls below cancel_below.
+  int cancel_below;
+  int cancel_of;
+};
 
-    // Time spans from "immediate" through several year re-anchors:
-    // exponents reach ~2^40 seconds, far beyond any initial ring span.
-    auto random_time = [&](double at_least) {
-      const double exponent = std::uniform_real_distribution<>(0.0, 40.0)(rng);
-      return at_least + std::exp2(exponent) - 1.0;
-    };
-    auto random_lane = [&] {
-      const int lane = std::uniform_int_distribution<>(0, 2)(rng);
-      return static_cast<Lane>(lane);
-    };
-    auto schedule_one = [&](double at_least) {
-      const double time = random_time(at_least);
-      const Lane lane = random_lane();
-      const Key key{time, static_cast<int>(lane), issued++};
-      const EventId id = engine.schedule_at(
-          time, [&fired, key] { fired.push_back(key); }, lane);
-      ids.push_back(id);
-      keys.push_back(key);
-    };
+struct OrderingRun {
+  int cancels = 0;
+  std::size_t footprint_before_cancels = 0;
+  std::size_t footprint_after_cancels = 0;
+  std::size_t queued_after_cancels = 0;
+};
 
-    for (int i = 0; i < 400; ++i) schedule_one(0.0);
-    // A few events reschedule from inside the run (chained steps).
-    for (int i = 0; i < 30; ++i) {
-      const double time = random_time(0.0);
-      const Key key{time, static_cast<int>(Lane::Normal), issued++};
-      engine.schedule_at(time, [&, key] {
-        fired.push_back(key);
-        schedule_one(std::get<0>(key));
-      });
-      keys.push_back(key);
-      ids.push_back(kInvalidEvent);  // keep indices aligned; not cancellable
-    }
-    // Cancel a random third of the up-front events.
-    std::vector<bool> cancelled(keys.size(), false);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == kInvalidEvent) continue;
-      if (std::uniform_int_distribution<>(0, 2)(rng) == 0) {
-        EXPECT_TRUE(engine.cancel(ids[i]));
-        cancelled[i] = true;
-      }
-    }
-    engine.run();
+OrderingRun expect_reference_order(const OrderingInput& input) {
+  std::mt19937_64 rng(input.seed);
+  Engine engine;
+  // key = (time, lane, issue index); issue index stands in for the
+  // engine's internal sequence number — both count schedule calls.
+  using Key = std::tuple<double, int, int>;
+  std::vector<Key> fired;
+  std::vector<EventId> ids;
+  std::vector<Key> keys;
+  int issued = 0;
 
-    for (std::size_t i = 0; i < cancelled.size(); ++i) {
-      if (!cancelled[i]) expected.push_back(keys[i]);
-    }
-    // The callbacks scheduled from inside the run appended their keys to
-    // `keys` past the pre-run window; none of those were cancellable.
-    for (std::size_t i = cancelled.size(); i < keys.size(); ++i) {
-      expected.push_back(keys[i]);
-    }
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(fired, expected) << "round " << round;
+  // Time spans from "immediate" through several year re-anchors:
+  // exponents reach ~2^40 seconds, far beyond any initial ring span.
+  auto random_time = [&](double at_least) {
+    const double exponent = std::uniform_real_distribution<>(0.0, 40.0)(rng);
+    return at_least + std::exp2(exponent) - 1.0;
+  };
+  auto random_lane = [&] {
+    const int lane = std::uniform_int_distribution<>(0, 2)(rng);
+    return static_cast<Lane>(lane);
+  };
+  auto schedule_one = [&](double at_least) {
+    const double time = random_time(at_least);
+    const Lane lane = random_lane();
+    const Key key{time, static_cast<int>(lane), issued++};
+    const EventId id = engine.schedule_at(
+        time, [&fired, key] { fired.push_back(key); }, lane);
+    ids.push_back(id);
+    keys.push_back(key);
+  };
+
+  for (int i = 0; i < input.upfront; ++i) schedule_one(0.0);
+  // A few events reschedule from inside the run (chained steps).
+  for (int i = 0; i < input.chained; ++i) {
+    const double time = random_time(0.0);
+    const Key key{time, static_cast<int>(Lane::Normal), issued++};
+    engine.schedule_at(time, [&, key] {
+      fired.push_back(key);
+      schedule_one(std::get<0>(key));
+    });
+    keys.push_back(key);
+    ids.push_back(kInvalidEvent);  // keep indices aligned; not cancellable
   }
+  if (input.pause_at > 0.0) {
+    // Draining ring years merges the overflow list into a sorted
+    // prefix; the events scheduled next add an unsorted appendix.
+    engine.run_until(input.pause_at);
+    for (int i = 0; i < input.more; ++i) schedule_one(engine.now());
+  }
+  OrderingRun run;
+  run.footprint_before_cancels = engine.queue_footprint();
+  std::vector<bool> cancelled(keys.size(), false);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] == kInvalidEvent || !engine.pending(ids[i])) continue;
+    const int draw =
+        std::uniform_int_distribution<>(0, input.cancel_of - 1)(rng);
+    if (draw < input.cancel_below) {
+      EXPECT_TRUE(engine.cancel(ids[i]));
+      cancelled[i] = true;
+      ++run.cancels;
+    }
+  }
+  run.footprint_after_cancels = engine.queue_footprint();
+  run.queued_after_cancels = engine.queued();
+  engine.run();
+
+  // Keys appended past the cancellation window (schedules from inside
+  // the run) were never cancellable.
+  std::vector<Key> expected;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i >= cancelled.size() || !cancelled[i]) expected.push_back(keys[i]);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected) << "seed " << input.seed;
+  return run;
+}
+
+TEST(CalendarOrdering, RandomScheduleCancelMatchesReferenceSort) {
+  // Cancel a random third of 400 up-front events, with 30 chained ones.
+  for (std::uint32_t round = 0; round < 20; ++round) {
+    expect_reference_order({round * 7919 + 13, 400, 30, 0.0, 0, 1, 3});
+  }
+  // Cancel three in four of 3000 + 1500 events: more than the sweep floor
+  // (1024) and than the live set, so sweep_stale compacts the calendar
+  // while live events sit in ring days and in an overflow list with a
+  // sorted prefix and an unsorted appendix.  A wrong sorted-prefix
+  // length after the compaction misorders the next merge.
+  const OrderingRun run =
+      expect_reference_order({2017, 3000, 0, 1.0e4, 1500, 3, 4});
+  EXPECT_GT(run.cancels, 1024);
+  EXPECT_GT(run.queued_after_cancels, 0u);
+  // Cancelling leaves stale entries behind; only a sweep drops them.
+  EXPECT_LT(run.footprint_after_cancels, run.footprint_before_cancels);
 }
 
 // Far-future events force year re-anchoring (advance_year): the ring

@@ -137,7 +137,7 @@ TEST(EventOrder, EventScheduledDuringCallbackMayLandAtSameInstant) {
 TEST(EventOrder, BackdoorTimeTravelThroughTheRealEngine) {
   chk::Auditor auditor;
   sim::Engine engine;
-  engine.set_auditor(&auditor);
+  engine.attach(auditor);
   int fired = 0;
   engine.schedule_at(10.0, [&] { ++fired; });
   engine.run();
@@ -280,9 +280,7 @@ rms::JobSpec small_job(const std::string& name) {
 TEST(FederationIdentity, PlacementInsideTheRangeIsClean) {
   fed::Federation federation(two_members());
   chk::Auditor auditor;
-  obs::Hooks hooks;
-  hooks.auditor = &auditor;
-  federation.set_hooks(hooks);
+  federation.attach(auditor);
   federation.submit(small_job("a"), 0.0);
   federation.submit(small_job("b"), 0.0);
   auditor.check_federation(federation, 1.0);

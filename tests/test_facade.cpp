@@ -24,7 +24,7 @@ namespace {
 
 using namespace dmr;
 
-/// One applied resize, as observed through Manager::on_resize.
+/// One applied resize, as observed through the manager's resized fact.
 struct ResizeEvent {
   Action action = Action::None;
   int old_size = 0;
@@ -44,14 +44,15 @@ std::string to_string(const ResizeEvent& event) {
 
 /// Attach a recorder to a manager; the mutex makes it safe for the
 /// real-mode runs where rank threads drive the resizes.
-class ResizeLog {
+class ResizeLog : public obs::Sink {
  public:
-  explicit ResizeLog(Manager& manager) {
-    manager.on_resize([this](const auto&, Action action, int old_size,
-                             int new_size, double) {
-      std::lock_guard<std::mutex> lock(mu_);
-      events_.push_back({action, old_size, new_size});
-    });
+  explicit ResizeLog(Manager& manager) : obs::Sink(obs::kResized) {
+    manager.attach(*this);
+  }
+  void resized(const obs::JobFact&, Action action, int old_size,
+               int new_size) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back({action, old_size, new_size});
   }
   std::vector<ResizeEvent> events() const {
     std::lock_guard<std::mutex> lock(mu_);

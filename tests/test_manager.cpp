@@ -273,18 +273,25 @@ TEST(Manager, ExpandAbortWhenResizerLosesRace) {
 
 TEST(Manager, CallbacksFire) {
   Manager m(config(8));
-  int starts = 0, ends = 0;
-  int last_alloc = -1;
-  m.on_start([&](const Job&) { ++starts; });
-  m.on_end([&](const Job&) { ++ends; });
-  m.on_alloc_change([&](int allocated, int) { last_alloc = allocated; });
+  namespace obs = dmr::obs;
+  struct Counts : obs::Sink {
+    Counts() : obs::Sink(obs::kStarted | obs::kFinished | obs::kAllocChanged) {}
+    void started(const obs::JobFact&) override { ++starts; }
+    void finished(const obs::JobFact&) override { ++ends; }
+    void alloc_changed(const obs::AllocFact& f) override {
+      last_alloc = f.allocated;
+    }
+    int starts = 0, ends = 0;
+    int last_alloc = -1;
+  } counts;
+  m.attach(counts);
   const JobId a = m.submit(spec("a", 4), 0.0);
   m.schedule(0.0);
-  EXPECT_EQ(starts, 1);
-  EXPECT_EQ(last_alloc, 4);
+  EXPECT_EQ(counts.starts, 1);
+  EXPECT_EQ(counts.last_alloc, 4);
   m.job_finished(a, 1.0);
-  EXPECT_EQ(ends, 1);
-  EXPECT_EQ(last_alloc, 0);
+  EXPECT_EQ(counts.ends, 1);
+  EXPECT_EQ(counts.last_alloc, 0);
 }
 
 TEST(Manager, RejectsBadSubmissions) {

@@ -288,6 +288,66 @@ TEST(Registry, ParityWithLegacyCountersOnWorkloadRun) {
   EXPECT_EQ(registry.value("rms.expands"), double(metrics.expands));
 }
 
+// --- lifecycle stream -------------------------------------------------------
+
+/// Logs "<name>:<fact>" for the facts it declared.
+struct LoggingSink : obs::Sink {
+  LoggingSink(std::uint32_t facts, std::string name_in,
+              std::vector<std::string>& log_in)
+      : obs::Sink(facts), name(std::move(name_in)), log(log_in) {}
+  void started(const obs::JobFact&) override { log.push_back(name + ":s"); }
+  void finished(const obs::JobFact&) override { log.push_back(name + ":f"); }
+  void placed(const obs::PlaceFact& f) override {
+    log.push_back(name + ":placed@" + f.cluster + " depth " +
+                  std::to_string(f.queue_depth));
+  }
+  std::string name;
+  std::vector<std::string>& log;
+};
+
+rms::JobSpec rigid(const std::string& name, int nodes) {
+  rms::JobSpec spec;
+  spec.name = name;
+  spec.requested_nodes = spec.min_nodes = spec.max_nodes = nodes;
+  spec.time_limit = 100.0;
+  return spec;
+}
+
+TEST(LifecycleStream, AttachOrderAndDeclaredFactsOnly) {
+  rms::RmsConfig config;
+  config.nodes = 4;
+  rms::Manager manager(config);
+  std::vector<std::string> log;
+  LoggingSink a(obs::kStarted | obs::kFinished, "a", log);
+  LoggingSink b(obs::kStarted, "b", log);
+  manager.attach(a);
+  manager.attach(b);
+  const JobId id = manager.submit(rigid("x", 2), 0.0);
+  manager.schedule(0.0);
+  manager.job_finished(id, 1.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"a:s", "b:s", "a:f"}));
+
+  obs::Stream stream;
+  EXPECT_FALSE(stream.wants(obs::kStarted));
+  stream.attach(a);
+  EXPECT_TRUE(stream.wants(obs::kFinished));
+  EXPECT_FALSE(stream.wants(obs::kBlocked));  // nobody diagnoses
+}
+
+TEST(LifecycleStream, SingleMemberFastPathEmitsPlaced) {
+  fed::FederationConfig config;
+  config.clusters.push_back(fed::ClusterSpec{"solo", {}});
+  config.clusters.back().rms.nodes = 2;
+  fed::Federation federation(config);
+  std::vector<std::string> log;
+  LoggingSink sink(obs::kPlaced, "p", log);
+  federation.attach(sink);
+  federation.submit(rigid("x", 2), 0.0);  // queued: nothing scheduled
+  federation.submit(rigid("y", 2), 0.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"p:placed@solo depth 0",
+                                           "p:placed@solo depth 1"}));
+}
+
 // --- profiler ---------------------------------------------------------------
 
 TEST(Profiler, ReportFoldsAccumulatorsAndRss) {

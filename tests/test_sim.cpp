@@ -2,11 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <random>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
+#include "sim/series.hpp"
 
 namespace {
 
@@ -217,6 +218,47 @@ TEST(Engine, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(engine.now(), 99.0);
 }
 
+/// Counts live instances, so a leak or a double destroy of a callback
+/// capture shows up as a non-zero balance.
+struct Tracked {
+  static inline int live = 0;
+  Tracked() { ++live; }
+  Tracked(const Tracked&) { ++live; }
+  Tracked(Tracked&&) noexcept { ++live; }
+  ~Tracked() { --live; }
+};
+
+/// A capture too large for the inline callback buffer: it takes the
+/// new/delete fallback.
+struct OversizedCallback {
+  std::array<unsigned char, 64> payload{};
+  Tracked tracked;
+  int* fired;
+  void operator()() const { ++*fired; }
+};
+static_assert(sizeof(OversizedCallback) >
+              detail::InlineCallback::kInlineBytes);
+
+TEST(Engine, OversizedCaptureFiresCancelsAndIsDestroyed) {
+  int fired = 0;
+  {
+    Engine engine;
+    engine.schedule_at(1.0, OversizedCallback{{}, {}, &fired});
+    const EventId cancelled =
+        engine.schedule_at(2.0, OversizedCallback{{}, {}, &fired});
+    engine.schedule_at(3.0, OversizedCallback{{}, {}, &fired});
+    EXPECT_EQ(Tracked::live, 3);
+    EXPECT_TRUE(engine.cancel(cancelled));
+    EXPECT_EQ(Tracked::live, 2);
+    engine.run_until(2.5);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(Tracked::live, 1);  // the fired capture is gone
+  }
+  // The engine destroyed the still-pending capture.
+  EXPECT_EQ(Tracked::live, 0);
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(PeriodicTask, FiresUntilPredicateFalse) {
   Engine engine;
   int fires = 0;
@@ -315,7 +357,7 @@ TEST(EngineCancel, QueuedCountsLiveEventsExactly) {
 
 TEST(Trace, RecordsSeriesAgainstEngineClock) {
   Engine engine;
-  TraceRecorder trace(engine);
+  SeriesRecorder trace(engine);
   engine.schedule_at(0.0, [&] { trace.record("alloc", 4.0); });
   engine.schedule_at(10.0, [&] { trace.record("alloc", 8.0); });
   engine.run();
@@ -326,7 +368,7 @@ TEST(Trace, RecordsSeriesAgainstEngineClock) {
 
 TEST(Trace, DeltaAccumulates) {
   Engine engine;
-  TraceRecorder trace(engine);
+  SeriesRecorder trace(engine);
   engine.schedule_at(1.0, [&] { trace.record_delta("done", 1.0); });
   engine.schedule_at(2.0, [&] { trace.record_delta("done", 1.0); });
   engine.run();
@@ -335,13 +377,13 @@ TEST(Trace, DeltaAccumulates) {
 
 TEST(Trace, UnknownSeriesThrows) {
   Engine engine;
-  TraceRecorder trace(engine);
+  SeriesRecorder trace(engine);
   EXPECT_THROW(trace.series("nope"), std::out_of_range);
 }
 
 TEST(Trace, CsvExport) {
   Engine engine;
-  TraceRecorder trace(engine);
+  SeriesRecorder trace(engine);
   engine.schedule_at(1.0, [&] { trace.record("x", 2.0); });
   engine.run();
   const std::string csv = trace.to_csv("x");
