@@ -3,7 +3,8 @@
 // Pulls in everything a real (threaded-rank) malleable application
 // needs: the process universe and communicators, the AppState interface
 // with the iterate -> check -> (spawn + offload + retire) loop of
-// Listings 2-3, and the block-redistribution helpers.
+// Listings 2-3, and BufferedAppState, which moves registered buffers
+// through the session's redistribution strategy.
 #pragma once
 
 #include "dmr/reconfig_point.hpp"  // IWYU pragma: export
@@ -11,21 +12,18 @@
 #include "dmr/types.hpp"           // IWYU pragma: export
 #include "rt/buffered_state.hpp"   // IWYU pragma: export
 #include "rt/malleable_app.hpp"    // IWYU pragma: export
-#include "rt/redistribute.hpp"     // IWYU pragma: export
 #include "smpi/universe.hpp"       // IWYU pragma: export
 
 namespace dmr {
 
 using rt::AppState;
+using redist::BlockDistribution;
 using rt::BufferedAppState;
-using rt::BlockDistribution;
 using rt::ForcedDecision;
 using rt::MalleableConfig;
 using rt::ResizeRecord;
 using rt::RunReport;
-using rt::recv_blocks;
 using rt::run_malleable;
-using rt::send_blocks;
 using rt::start_malleable;
 using rt::StateFactory;
 

@@ -6,14 +6,14 @@
 // every registered buffer across the old -> new process set and reports
 // the measured cost (redist::Report), which calibrates drv::CostModel.
 //
-// Shipped strategies: P2pPlan (overlap-plan rank-to-rank transfers),
-// PipelinedChunks (chunked bounded-in-flight streams) and
-// CheckpointRoute (the C/R baseline through the ckpt store).
+// Shipped strategies: PipelinedChunks (rank-to-rank transfers of the
+// plan_transfers overlap plan, in chunked bounded-in-flight streams;
+// make_strategy("p2p") is the same executor with no chunking and no
+// window) and CheckpointRoute (the C/R baseline through the ckpt store).
 #pragma once
 
 #include "redist/buffer.hpp"            // IWYU pragma: export
 #include "redist/checkpoint_route.hpp"  // IWYU pragma: export
-#include "redist/p2p_plan.hpp"          // IWYU pragma: export
 #include "redist/pipelined.hpp"         // IWYU pragma: export
 #include "redist/strategy.hpp"          // IWYU pragma: export
 

@@ -90,7 +90,7 @@ class Session {
   // --- data redistribution ---------------------------------------------------
 
   /// Strategy used to move this job's registered buffers on resizes
-  /// (dmr::redist; nullptr = the runtime default, P2pPlan).  Set before
+  /// (dmr::redist; nullptr = the runtime default, "p2p").  Set before
   /// launching the malleable loop.
   void set_redist_strategy(std::shared_ptr<redist::Strategy> strategy);
   const std::shared_ptr<redist::Strategy>& redist_strategy() const {

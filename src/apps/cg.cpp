@@ -75,7 +75,7 @@ std::vector<double> cg_reference_solve(std::size_t n, int iterations) {
 void CgState::build_local(int rank, int nprocs) {
   my_rank_ = rank;
   nprocs_ = nprocs;
-  const rt::BlockDistribution dist(config_.n, nprocs);
+  const redist::BlockDistribution dist(config_.n, nprocs);
   const std::size_t rows = dist.count(rank);
   const std::size_t first = dist.begin(rank);
   matrix_.resize(rows * config_.n);

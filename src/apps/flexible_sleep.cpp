@@ -6,7 +6,7 @@
 namespace dmr::apps {
 
 void FlexibleSleepState::init(int rank, int nprocs) {
-  const rt::BlockDistribution dist(config_.array_elements, nprocs);
+  const redist::BlockDistribution dist(config_.array_elements, nprocs);
   local_.resize(dist.count(rank));
   const std::size_t base = dist.begin(rank);
   for (std::size_t i = 0; i < local_.size(); ++i) {

@@ -52,7 +52,7 @@ std::vector<double> jacobi_reference_solve(std::size_t n, int iterations) {
 void JacobiState::build_local(int rank, int nprocs) {
   my_rank_ = rank;
   nprocs_ = nprocs;
-  const rt::BlockDistribution dist(config_.n, nprocs);
+  const redist::BlockDistribution dist(config_.n, nprocs);
   const std::size_t rows = dist.count(rank);
   const std::size_t first = dist.begin(rank);
   matrix_.resize(rows * config_.n);
@@ -76,7 +76,7 @@ void JacobiState::compute_step(const smpi::Comm& world, int step) {
   (void)step;
   const std::vector<double> full_x =
       world.allgatherv(std::span<const double>(x_));
-  const rt::BlockDistribution dist(config_.n, world.size());
+  const redist::BlockDistribution dist(config_.n, world.size());
   const std::size_t first = dist.begin(world.rank());
   const std::size_t rows = x_.size();
   std::vector<double> next(rows);

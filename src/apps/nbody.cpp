@@ -77,7 +77,7 @@ void nbody_reference_step(std::vector<Particle>& particles,
 }
 
 void NbodyState::init(int rank, int nprocs) {
-  const rt::BlockDistribution dist(config_.particles, nprocs);
+  const redist::BlockDistribution dist(config_.particles, nprocs);
   local_.resize(dist.count(rank));
   const std::size_t base = dist.begin(rank);
   for (std::size_t i = 0; i < local_.size(); ++i) {
@@ -92,7 +92,7 @@ void NbodyState::compute_step(const smpi::Comm& world, int step) {
   // local block against it.
   const std::vector<Particle> all =
       world.allgatherv(std::span<const Particle>(local_));
-  const rt::BlockDistribution dist(config_.particles, world.size());
+  const redist::BlockDistribution dist(config_.particles, world.size());
   step_block(local_, all, dist.begin(world.rank()), config_);
 }
 

@@ -2,18 +2,28 @@
 
 #include <algorithm>
 
-#include "rt/redistribute.hpp"
+#include "redist/buffer.hpp"
 
 namespace dmr::drv {
 
 double CostModel::migrated_fraction(int old_procs, int new_procs) {
-  // Evaluate the redistribution plan on a nominal element count; the
-  // fraction is size-independent for balanced blocks once the count is
-  // much larger than the rank counts.
+  // Block redistribution of a nominal element count; the fraction is
+  // size-independent once the count is much larger than the rank counts.
+  // New rank r is placed on the node of old rank r whenever both exist,
+  // so an element stays put only when old block r and new block r both
+  // hold it: migrated = total - sum over r < min(P, Q) of the overlap of
+  // old block r and new block r.
   constexpr std::size_t kNominal = 1 << 20;
-  const std::size_t moved =
-      rt::migrated_elements(kNominal, old_procs, new_procs);
-  return static_cast<double>(moved) / static_cast<double>(kNominal);
+  const redist::BlockDistribution from(kNominal, old_procs);
+  const redist::BlockDistribution to(kNominal, new_procs);
+  std::size_t stays = 0;
+  for (int r = 0; r < std::min(old_procs, new_procs); ++r) {
+    const std::size_t lo = std::max(from.begin(r), to.begin(r));
+    const std::size_t hi = std::min(from.end(r), to.end(r));
+    if (hi > lo) stays += hi - lo;
+  }
+  return static_cast<double>(kNominal - stays) /
+         static_cast<double>(kNominal);
 }
 
 redist::Report CostModel::movement(std::size_t state_bytes, int old_procs,

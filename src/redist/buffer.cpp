@@ -4,6 +4,38 @@
 
 namespace dmr::redist {
 
+BlockDistribution::BlockDistribution(std::size_t total, int parts)
+    : total_(total), parts_(parts) {
+  if (parts <= 0) {
+    throw std::invalid_argument("BlockDistribution: non-positive parts");
+  }
+}
+
+std::size_t BlockDistribution::begin(int rank) const {
+  if (rank < 0 || rank > parts_) {
+    throw std::out_of_range("BlockDistribution: rank out of range");
+  }
+  // floor(total * rank / parts): remainder elements go to the high ranks;
+  // ranks own zero elements when total < parts.
+  return total_ * static_cast<std::size_t>(rank) /
+         static_cast<std::size_t>(parts_);
+}
+
+int BlockDistribution::owner(std::size_t index) const {
+  if (index >= total_) {
+    throw std::out_of_range("BlockDistribution: index out of range");
+  }
+  // owner = the rank whose [begin, end) contains index; with the floor
+  // formula this is ceil((index+1)*parts/total) - 1.
+  const auto parts = static_cast<std::size_t>(parts_);
+  const std::size_t numer = (index + 1) * parts;
+  int rank = static_cast<int>((numer + total_ - 1) / total_) - 1;
+  // Guard against rounding at block edges.
+  while (rank > 0 && begin(rank) > index) --rank;
+  while (rank + 1 < parts_ && end(rank) <= index) ++rank;
+  return rank;
+}
+
 std::string to_string(Layout layout) {
   switch (layout) {
     case Layout::Block:
@@ -35,7 +67,7 @@ std::size_t Distribution::local_count(int rank) const {
   }
   switch (layout_) {
     case Layout::Block:
-      return rt::BlockDistribution(total_, parts_).count(rank);
+      return BlockDistribution(total_, parts_).count(rank);
     case Layout::Replicated:
       return total_;
     case Layout::BlockCyclic: {
@@ -62,7 +94,7 @@ Distribution::Place Distribution::locate(std::size_t index) const {
   }
   switch (layout_) {
     case Layout::Block: {
-      const rt::BlockDistribution dist(total_, parts_);
+      const BlockDistribution dist(total_, parts_);
       const int rank = dist.owner(index);
       return {rank, index - dist.begin(rank)};
     }
@@ -85,7 +117,7 @@ std::size_t Distribution::run_length(std::size_t index) const {
   }
   switch (layout_) {
     case Layout::Block: {
-      const rt::BlockDistribution dist(total_, parts_);
+      const BlockDistribution dist(total_, parts_);
       return dist.end(dist.owner(index)) - index;
     }
     case Layout::Replicated:
@@ -102,7 +134,7 @@ void Distribution::for_each_local_run(
   if (total_ == 0) return;
   switch (layout_) {
     case Layout::Block: {
-      const rt::BlockDistribution dist(total_, parts_);
+      const BlockDistribution dist(total_, parts_);
       if (dist.count(rank) > 0) fn(dist.begin(rank), dist.count(rank));
       return;
     }

@@ -18,9 +18,30 @@
 #include <type_traits>
 #include <vector>
 
-#include "rt/redistribute.hpp"
-
 namespace dmr::redist {
+
+/// Balanced contiguous block distribution of `total` elements over
+/// `parts` ranks: rank r owns [begin(r), end(r)), sizes differing by at
+/// most one element (floor formula: remainder lands on the high ranks;
+/// ranks may own zero elements when total < parts).
+class BlockDistribution {
+ public:
+  BlockDistribution(std::size_t total, int parts);
+
+  std::size_t total() const { return total_; }
+  int parts() const { return parts_; }
+
+  std::size_t begin(int rank) const;
+  std::size_t end(int rank) const { return begin(rank + 1); }
+  std::size_t count(int rank) const { return end(rank) - begin(rank); }
+
+  /// Owning rank of a global element index.
+  int owner(std::size_t index) const;
+
+ private:
+  std::size_t total_;
+  int parts_;
+};
 
 /// How a buffer's elements map onto the ranks of a communicator.
 enum class Layout {
@@ -86,7 +107,14 @@ class Distribution {
   std::size_t block_;
 };
 
-using Transfer = rt::Transfer;
+/// One contiguous copy between an old-layout rank and a new-layout rank.
+struct Transfer {
+  int src_rank = 0;
+  int dst_rank = 0;
+  std::size_t src_offset = 0;  // offset into the source rank's local block
+  std::size_t dst_offset = 0;  // offset into the destination's local block
+  std::size_t count = 0;       // elements
+};
 
 /// Overlap plan moving one buffer from `old_parts` to `new_parts` ranks.
 /// For Block / BlockCyclic layouts the transfers partition the global

@@ -27,7 +27,6 @@ class CheckpointRoute final : public Strategy {
   explicit CheckpointRoute(CheckpointRouteOptions options = {});
   ~CheckpointRoute() override;
 
-  std::string name() const override { return "checkpoint"; }
   Report send(const Endpoint& endpoint, const Registry& registry) override;
   Report recv(const Endpoint& endpoint, Registry& registry) override;
 

@@ -15,7 +15,7 @@ namespace {
 
 using util::wall_seconds;
 
-/// Distinct from the P2pPlan range so mixed use cannot cross-match.
+/// Message tags: one per registered buffer, in registration order.
 constexpr int kPipeTagBase = 7800;
 
 /// One chunk of one transfer, in the deterministic enumeration both

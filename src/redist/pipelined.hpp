@@ -3,6 +3,11 @@
 // sliced into fixed-size chunks and streamed with a bounded window of
 // outstanding operations, overlapping the copy-in of one chunk with the
 // flight of the next instead of materializing whole-buffer messages.
+//
+// Both sides derive the chunks from the same plan_transfers plan, so
+// every element of every Block / BlockCyclic buffer crosses the link
+// exactly once.  With an unbounded chunk and window (make_strategy("p2p"))
+// each transfer of the plan is exactly one message.
 #pragma once
 
 #include "redist/strategy.hpp"
@@ -20,7 +25,6 @@ class PipelinedChunks final : public Strategy {
  public:
   explicit PipelinedChunks(PipelinedOptions options = {});
 
-  std::string name() const override { return "pipelined"; }
   Report send(const Endpoint& endpoint, const Registry& registry) override;
   Report recv(const Endpoint& endpoint, Registry& registry) override;
 

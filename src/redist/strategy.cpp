@@ -1,10 +1,11 @@
 #include "redist/strategy.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <stdexcept>
 
 #include "redist/checkpoint_route.hpp"
-#include "redist/p2p_plan.hpp"
 #include "redist/pipelined.hpp"
 
 namespace dmr::redist {
@@ -37,7 +38,10 @@ void Strategy::record(const Report& report, const Registry& registry) {
 }
 
 std::shared_ptr<Strategy> make_strategy(std::string_view name) {
-  if (name == "p2p") return std::make_shared<P2pPlan>();
+  if (name == "p2p") {
+    return std::make_shared<PipelinedChunks>(
+        PipelinedOptions{SIZE_MAX, INT_MAX});
+  }
   if (name == "pipelined") return std::make_shared<PipelinedChunks>();
   if (name == "checkpoint") return std::make_shared<CheckpointRoute>();
   throw std::invalid_argument("make_strategy: unknown strategy '" +

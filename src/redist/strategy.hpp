@@ -1,10 +1,13 @@
 // Redistribution strategies: pluggable engines that move every
 // registered buffer across the old -> new process set of a resize.
 //
-// One interface, three shipped implementations:
-//  - P2pPlan          rank-to-rank overlap-plan transfers (the DMR way);
-//  - PipelinedChunks  chunked, bounded-in-flight point-to-point streams
-//                     (mscclpp-style channel pipelining);
+// One interface, two shipped implementations:
+//  - PipelinedChunks  rank-to-rank transfers of the plan_transfers
+//                     overlap plan, sliced into chunks and streamed with
+//                     a bounded window (mscclpp-style channel
+//                     pipelining); "p2p" is the same executor with no
+//                     chunking and no window, one message per transfer
+//                     (the DMR way);
 //  - CheckpointRoute  the C/R baseline routed through the ckpt store,
 //                     unified behind the same API.
 // Every execution yields a Report — measured bytes / transfers / seconds
@@ -13,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <string_view>
 
 #include "obs/sink.hpp"
@@ -61,8 +63,6 @@ class Strategy {
  public:
   virtual ~Strategy() = default;
 
-  virtual std::string name() const = 0;
-
   /// Old-side half: offload every registered buffer into the link.
   /// Called once per old rank; implementations must be safe to run
   /// concurrently from every rank thread.
@@ -87,8 +87,10 @@ class Strategy {
   obs::Stream stream_;
 };
 
-/// Factory by name: "p2p", "pipelined" or "checkpoint" (the checkpoint
-/// route writes under a fresh temporary directory).
+/// Factory by name: "p2p" (PipelinedChunks with an unbounded chunk and
+/// window), "pipelined" (PipelinedChunks with the default options) or
+/// "checkpoint" (the checkpoint route, writing under a fresh temporary
+/// directory).
 std::shared_ptr<Strategy> make_strategy(std::string_view name);
 
 }  // namespace dmr::redist

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "redist/p2p_plan.hpp"
 #include "smpi/comm.hpp"
 
 namespace dmr::rt {
@@ -13,7 +12,7 @@ BufferedAppState::BufferedAppState(std::shared_ptr<redist::Strategy> strategy)
     : strategy_(std::move(strategy)) {}
 
 redist::Strategy& BufferedAppState::strategy() {
-  if (!strategy_) strategy_ = std::make_shared<redist::P2pPlan>();
+  if (!strategy_) strategy_ = redist::make_strategy("p2p");
   return *strategy_;
 }
 

@@ -25,7 +25,8 @@ class BufferedAppState : public AppState {
   redist::Registry& registry() { return registry_; }
   const redist::Registry& registry() const { return registry_; }
 
-  /// Strategy in use; defaults to P2pPlan when none was injected.
+  /// Strategy in use; defaults to make_strategy("p2p") when none was
+  /// injected.
   redist::Strategy& strategy();
 
   void use_strategy(std::shared_ptr<redist::Strategy> strategy) final;

@@ -90,7 +90,7 @@ struct MalleableConfig {
   /// First step at which checks begin (step 0 check usually wasted).
   int first_check_step = 1;
   /// Redistribution strategy handed to every rank's state; falls back to
-  /// the session's strategy (Session::redist_strategy), then to P2pPlan.
+  /// the session's strategy (Session::redist_strategy), then to "p2p".
   std::shared_ptr<redist::Strategy> strategy;
 };
 

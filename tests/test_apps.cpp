@@ -85,7 +85,8 @@ class FsChecker final : public FlexibleSleepState {
   void compute_step(const smpi::Comm& world, int step) override {
     FlexibleSleepState::compute_step(world, step);
     if (step == last_step_) {
-      const rt::BlockDistribution dist(config_.array_elements, world.size());
+      const redist::BlockDistribution dist(config_.array_elements,
+                                           world.size());
       int bad = 0;
       for (std::size_t i = 0; i < local().size(); ++i) {
         const double want =

@@ -9,6 +9,7 @@
 
 #include "apps/models.hpp"
 #include "drv/workload_driver.hpp"
+#include "redist/buffer.hpp"
 #include "wl/feitelson.hpp"
 
 namespace {
@@ -54,6 +55,25 @@ TEST(CostModel, MigratedFractionShape) {
   EXPECT_NEAR(CostModel::migrated_fraction(2, 4), 0.75, 1e-6);
   EXPECT_GT(CostModel::migrated_fraction(8, 32),
             CostModel::migrated_fraction(8, 16) - 1e-9);
+}
+
+TEST(CostModel, MigratedFractionMatchesBlockPlan) {
+  // Reference: the elements of a Block plan_transfers plan that change
+  // rank index (new rank r sits on old rank r's node).
+  constexpr std::size_t kNominal = std::size_t(1) << 20;
+  const redist::Buffer block{"block", 1, kNominal, redist::Layout::Block, 1};
+  for (int from = 1; from <= 64; ++from) {
+    for (int to = 1; to <= 64; ++to) {
+      std::size_t moved = 0;
+      for (const auto& t : redist::plan_transfers(block, from, to)) {
+        if (t.src_rank != t.dst_rank) moved += t.count;
+      }
+      EXPECT_DOUBLE_EQ(CostModel::migrated_fraction(from, to) *
+                           static_cast<double>(kNominal),
+                       static_cast<double>(moved))
+          << from << "->" << to;
+    }
+  }
 }
 
 TEST(CostModel, CrMuchSlowerThanDmr) {

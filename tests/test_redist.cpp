@@ -1,40 +1,34 @@
 // dmr::redist subsystem tests: distribution arithmetic for every layout,
 // exactly-once planning, registry bookkeeping, and the strategy-parity
-// property — P2pPlan, PipelinedChunks and CheckpointRoute must all
-// produce bit-identical buffer contents after an arbitrary P -> Q resize.
+// property — "p2p", "pipelined" and "checkpoint" must all produce
+// bit-identical buffer contents after an arbitrary P -> Q resize.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "dmr/dmr.hpp"
 #include "dmr/redist.hpp"
 #include "drv/cost_model.hpp"
+#include "plan_checks.hpp"
 #include "smpi/universe.hpp"
 
 namespace {
 
 using namespace dmr;
 using namespace dmr::redist;
+using dmr::plan_checks::expect_every_element_moves_once;
+using dmr::plan_checks::make_desc;
 
 // --- Distribution -----------------------------------------------------------
 
-Buffer make_desc(Layout layout, std::size_t count, std::size_t elem_size = 8,
-                 std::size_t block = 1) {
-  Buffer desc;
-  desc.name = "buf";
-  desc.elem_size = elem_size;
-  desc.count = count;
-  desc.layout = layout;
-  desc.block = block;
-  return desc;
-}
-
 TEST(Distribution, BlockMatchesBlockDistribution) {
   const Distribution dist(make_desc(Layout::Block, 100), 7);
-  const rt::BlockDistribution ref(100, 7);
+  const BlockDistribution ref(100, 7);
   for (int r = 0; r < 7; ++r) EXPECT_EQ(dist.local_count(r), ref.count(r));
   for (std::size_t i = 0; i < 100; ++i) {
     const auto place = dist.locate(i);
@@ -92,8 +86,6 @@ TEST(Distribution, ReplicatedHoldsEverythingEverywhere) {
 // --- plan_transfers ---------------------------------------------------------
 
 TEST(PlanTransfers, EveryElementMovesExactlyOnce) {
-  // The acceptance property for P2pPlan's plans: for distributing
-  // layouts, transfers partition the global index space.
   std::mt19937 rng(20170731);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t total = rng() % 120;
@@ -102,42 +94,8 @@ TEST(PlanTransfers, EveryElementMovesExactlyOnce) {
     const Layout layout =
         (trial % 2 == 0) ? Layout::Block : Layout::BlockCyclic;
     const std::size_t block = 1 + rng() % 9;
-    const Buffer desc = make_desc(layout, total, 8, block);
-    const Distribution src(desc, old_parts);
-    const Distribution dst(desc, new_parts);
-    // Local offset -> global index, per source rank.
-    const auto local_to_global = [](const Distribution& dist, int rank) {
-      std::vector<std::size_t> map;
-      dist.for_each_local_run(rank,
-                              [&](std::size_t global, std::size_t elems) {
-                                for (std::size_t k = 0; k < elems; ++k) {
-                                  map.push_back(global + k);
-                                }
-                              });
-      return map;
-    };
-    std::vector<std::vector<std::size_t>> src_maps;
-    for (int r = 0; r < old_parts; ++r) {
-      src_maps.push_back(local_to_global(src, r));
-    }
-    std::vector<int> covered(total, 0);
-    for (const Transfer& t : plan_transfers(desc, old_parts, new_parts)) {
-      ASSERT_GT(t.count, 0u);
-      const auto& map = src_maps[static_cast<std::size_t>(t.src_rank)];
-      ASSERT_LE(t.src_offset + t.count, map.size());
-      for (std::size_t k = 0; k < t.count; ++k) {
-        const std::size_t g = map[t.src_offset + k];
-        const auto to = dst.locate(g);
-        EXPECT_EQ(to.rank, t.dst_rank);
-        EXPECT_EQ(to.offset, t.dst_offset + k);
-        ++covered[g];
-      }
-    }
-    for (std::size_t i = 0; i < total; ++i) {
-      ASSERT_EQ(covered[i], 1)
-          << to_string(layout) << " total=" << total << " " << old_parts
-          << "->" << new_parts << " element " << i;
-    }
+    expect_every_element_moves_once(make_desc(layout, total, 8, block),
+                                    old_parts, new_parts);
   }
 }
 
@@ -317,9 +275,10 @@ TEST_P(StrategyParity, AllStrategiesBitIdentical) {
   const ParityCase pc = GetParam();
   const char* names[] = {"p2p", "pipelined", "checkpoint"};
   std::map<int, RankContents> reference;
+  std::map<std::string, Report> totals;
   for (const char* name : names) {
     const auto strategy = make_strategy(name);
-    Report total;
+    Report& total = totals[name];
     auto results = run_parity(*strategy, pc, &total);
     ASSERT_EQ(results.size(), static_cast<std::size_t>(pc.new_parts))
         << name;
@@ -336,6 +295,17 @@ TEST_P(StrategyParity, AllStrategiesBitIdentical) {
     // calibrate the right bandwidth.
     EXPECT_EQ(total.via_checkpoint, std::string(name) == "checkpoint");
   }
+  // "p2p" is the pipelined executor with no chunking and no window: one
+  // message per plan transfer, and the same bytes as "pipelined".
+  const ParityState state(pc);
+  std::size_t planned = 0;
+  for (std::size_t i = 0; i < state.registry.size(); ++i) {
+    planned += plan_transfers(state.registry.at(i).desc, pc.old_parts,
+                              pc.new_parts)
+                   .size();
+  }
+  EXPECT_EQ(static_cast<std::size_t>(totals["p2p"].transfers), planned);
+  EXPECT_EQ(totals["p2p"].bytes_moved, totals["pipelined"].bytes_moved);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,18 +1,24 @@
-// Property tests of the block-distribution arithmetic and the
-// redistribution planner: the plan must partition the index space for
-// every (total, P, Q) combination, and executing it must reproduce the
-// global array exactly.
+// Block-layout redistribution tests: the BlockDistribution arithmetic
+// the apps partition their arrays with, and the plan_transfers plans
+// for Block buffers — every element moves exactly once for every
+// (total, P, Q) shape, and the small plans match hand-checked tables.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <mutex>
+#include <algorithm>
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
-#include "rt/redistribute.hpp"
-#include "smpi/universe.hpp"
+#include "dmr/redist.hpp"
+#include "plan_checks.hpp"
 
 namespace {
 
-using namespace dmr::rt;
+using namespace dmr::redist;
+using dmr::plan_checks::expect_every_element_moves_once;
+using dmr::plan_checks::make_desc;
+
+// --- BlockDistribution ------------------------------------------------------
 
 TEST(BlockDistribution, BalancedCounts) {
   const BlockDistribution dist(10, 3);
@@ -54,211 +60,71 @@ TEST(BlockDistribution, Errors) {
   EXPECT_THROW(dist.begin(3), std::out_of_range);
 }
 
-TEST(Plan, EmptyForZeroElements) {
-  EXPECT_TRUE(plan_redistribution(0, 4, 2).empty());
-  EXPECT_TRUE(plan_redistribution(0, 1, 1).empty());
-  EXPECT_EQ(migrated_elements(0, 4, 2), 0u);
+// --- Block plans ------------------------------------------------------------
+
+TEST(BlockPlan, EveryElementMovesExactlyOnce) {
+  // Splits, merges, primes, total < parts, 1 -> 1.
+  struct Shape {
+    std::size_t total;
+    int old_parts;
+    int new_parts;
+  };
+  for (const Shape& s :
+       {Shape{16, 4, 8}, Shape{16, 8, 4}, Shape{16, 4, 4}, Shape{100, 7, 3},
+        Shape{100, 3, 7}, Shape{1, 1, 4}, Shape{5, 4, 2}, Shape{97, 13, 5},
+        Shape{64, 1, 16}, Shape{64, 16, 1}, Shape{33, 32, 3}, Shape{3, 5, 2},
+        Shape{3, 2, 8}, Shape{2, 7, 9}, Shape{1, 1, 1}, Shape{6, 6, 6}}) {
+    expect_every_element_moves_once(make_desc(Layout::Block, s.total),
+                                    s.old_parts, s.new_parts);
+  }
 }
 
-TEST(Plan, RejectsNonPositiveParts) {
+TEST(BlockPlan, HandChecked) {
+  using Row = std::tuple<int, int, std::size_t, std::size_t, std::size_t>;
+  struct Case {
+    const char* what;
+    std::size_t total;
+    int old_parts;
+    int new_parts;
+    std::vector<Row> plan;  // (src, dst, src_offset, dst_offset, count)
+  };
+  const std::vector<Case> cases = {
+      // 1 -> Q: the lone old rank feeds every new rank once, in order.
+      {"1->4 scatter", 10, 1, 4,
+       {{0, 0, 0, 0, 2}, {0, 1, 2, 0, 3}, {0, 2, 5, 0, 2}, {0, 3, 7, 0, 3}}},
+      // Q -> 1: the mirror merge.
+      {"4->1 gather", 10, 4, 1,
+       {{0, 0, 0, 0, 2}, {1, 0, 0, 2, 3}, {2, 0, 0, 5, 2}, {3, 0, 0, 7, 3}}},
+      // 1 -> 1 self-copy (the same-size "migration" of Fig. 1's 48-48).
+      {"1->1 identity", 10, 1, 1, {{0, 0, 0, 0, 10}}},
+      {"4->4 identity", 100, 4, 4,
+       {{0, 0, 0, 0, 25}, {1, 1, 0, 0, 25}, {2, 2, 0, 0, 25},
+        {3, 3, 0, 0, 25}}},
+      // Factor-2 expand: each old rank feeds exactly two new ranks.
+      {"2->4 clean split", 8, 2, 4,
+       {{0, 0, 0, 0, 2}, {0, 1, 2, 0, 2}, {1, 2, 0, 0, 2}, {1, 3, 2, 0, 2}}},
+  };
+  for (const Case& c : cases) {
+    std::vector<Row> plan;
+    for (const Transfer& t : plan_transfers(make_desc(Layout::Block, c.total),
+                                            c.old_parts, c.new_parts)) {
+      plan.emplace_back(t.src_rank, t.dst_rank, t.src_offset, t.dst_offset,
+                        t.count);
+    }
+    EXPECT_EQ(plan, c.plan) << c.what;
+  }
+}
+
+TEST(BlockPlan, Validation) {
   // Geometry validation fires even when there is nothing to move.
-  EXPECT_THROW(plan_redistribution(16, 0, 4), std::invalid_argument);
-  EXPECT_THROW(plan_redistribution(16, 4, -1), std::invalid_argument);
-  EXPECT_THROW(plan_redistribution(0, 0, 4), std::invalid_argument);
-}
-
-TEST(Plan, SinglePartBothDirections) {
-  // 1 -> Q: the lone old rank feeds every new rank once, in order.
-  const auto scatter = plan_redistribution(10, 1, 4);
-  ASSERT_EQ(scatter.size(), 4u);
-  std::size_t covered = 0;
-  for (std::size_t i = 0; i < scatter.size(); ++i) {
-    EXPECT_EQ(scatter[i].src_rank, 0);
-    EXPECT_EQ(scatter[i].dst_rank, static_cast<int>(i));
-    EXPECT_EQ(scatter[i].dst_offset, 0u);
-    covered += scatter[i].count;
-  }
-  EXPECT_EQ(covered, 10u);
-  // Q -> 1: the mirror merge.
-  const auto gather = plan_redistribution(10, 4, 1);
-  ASSERT_EQ(gather.size(), 4u);
-  for (std::size_t i = 0; i < gather.size(); ++i) {
-    EXPECT_EQ(gather[i].src_rank, static_cast<int>(i));
-    EXPECT_EQ(gather[i].dst_rank, 0);
-    EXPECT_EQ(gather[i].src_offset, 0u);
-  }
-  // 1 -> 1 self-copy (the same-size "migration" of Fig. 1's 48-48 case).
-  const auto identity = plan_redistribution(10, 1, 1);
-  ASSERT_EQ(identity.size(), 1u);
-  EXPECT_EQ(identity[0].count, 10u);
-}
-
-TEST(Plan, TotalSmallerThanParts) {
-  // 3 elements over 5 -> 2 ranks: empty old ranks contribute no
-  // transfers, every transfer moves at least one element.
-  const auto plan = plan_redistribution(3, 5, 2);
-  const BlockDistribution old_dist(3, 5);
-  std::size_t covered = 0;
-  for (const Transfer& t : plan) {
-    EXPECT_GT(t.count, 0u);
-    EXPECT_GT(old_dist.count(t.src_rank), 0u);
-    covered += t.count;
-  }
-  EXPECT_EQ(covered, 3u);
-  // Growing into mostly-empty ranks is also valid.
-  const auto grow = plan_redistribution(3, 2, 8);
-  covered = 0;
-  for (const Transfer& t : grow) {
-    EXPECT_GT(t.count, 0u);
-    covered += t.count;
-  }
-  EXPECT_EQ(covered, 3u);
-}
-
-TEST(Plan, IdentityWhenLayoutUnchanged) {
-  const auto plan = plan_redistribution(100, 4, 4);
-  EXPECT_EQ(plan.size(), 4u);
-  for (const Transfer& t : plan) {
-    EXPECT_EQ(t.src_rank, t.dst_rank);
-    EXPECT_EQ(t.src_offset, 0u);
-    EXPECT_EQ(t.dst_offset, 0u);
-  }
-}
-
-TEST(Plan, CleanSplitOnFactor2Expand) {
-  // 8 elements, 2 -> 4 ranks: each old rank feeds exactly two new ranks.
-  const auto plan = plan_redistribution(8, 2, 4);
-  ASSERT_EQ(plan.size(), 4u);
-  EXPECT_EQ(plan[0].src_rank, 0);
-  EXPECT_EQ(plan[0].dst_rank, 0);
-  EXPECT_EQ(plan[1].src_rank, 0);
-  EXPECT_EQ(plan[1].dst_rank, 1);
-  EXPECT_EQ(plan[2].src_rank, 1);
-  EXPECT_EQ(plan[2].dst_rank, 2);
-  EXPECT_EQ(plan[3].src_rank, 1);
-  EXPECT_EQ(plan[3].dst_rank, 3);
-}
-
-// Parameterized partition property over a grid of (total, P, Q).
-struct PlanCase {
-  std::size_t total;
-  int old_parts;
-  int new_parts;
-};
-
-class PlanSweep : public ::testing::TestWithParam<PlanCase> {};
-
-TEST_P(PlanSweep, TransfersPartitionTheIndexSpace) {
-  const auto [total, old_parts, new_parts] = GetParam();
-  const BlockDistribution old_dist(total, old_parts);
-  const BlockDistribution new_dist(total, new_parts);
-  const auto plan = plan_redistribution(total, old_parts, new_parts);
-  std::vector<int> covered(total, 0);
-  for (const Transfer& t : plan) {
-    EXPECT_GT(t.count, 0u);
-    for (std::size_t k = 0; k < t.count; ++k) {
-      const std::size_t src_global = old_dist.begin(t.src_rank) +
-                                     t.src_offset + k;
-      const std::size_t dst_global = new_dist.begin(t.dst_rank) +
-                                     t.dst_offset + k;
-      EXPECT_EQ(src_global, dst_global);  // same element, new home
-      ASSERT_LT(src_global, total);
-      ++covered[src_global];
-    }
-  }
-  for (std::size_t i = 0; i < total; ++i) {
-    EXPECT_EQ(covered[i], 1) << "element " << i << " moved " << covered[i]
-                             << " times";
-  }
-}
-
-TEST_P(PlanSweep, PerRankViewsMatchFullPlan) {
-  const auto [total, old_parts, new_parts] = GetParam();
-  const auto plan = plan_redistribution(total, old_parts, new_parts);
-  std::size_t from_total = 0, to_total = 0;
-  for (int r = 0; r < old_parts; ++r) {
-    for (const Transfer& t : transfers_from(plan, r)) {
-      EXPECT_EQ(t.src_rank, r);
-      from_total += t.count;
-    }
-  }
-  for (int r = 0; r < new_parts; ++r) {
-    for (const Transfer& t : transfers_to(plan, r)) {
-      EXPECT_EQ(t.dst_rank, r);
-      to_total += t.count;
-    }
-  }
-  EXPECT_EQ(from_total, total);
-  EXPECT_EQ(to_total, total);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PlanSweep,
-    ::testing::Values(PlanCase{16, 4, 8}, PlanCase{16, 8, 4},
-                      PlanCase{16, 4, 4}, PlanCase{100, 7, 3},
-                      PlanCase{100, 3, 7}, PlanCase{1, 1, 4},
-                      PlanCase{5, 4, 2}, PlanCase{97, 13, 5},
-                      PlanCase{64, 1, 16}, PlanCase{64, 16, 1},
-                      PlanCase{33, 32, 3}, PlanCase{3, 5, 2},
-                      PlanCase{2, 7, 9}, PlanCase{1, 1, 1},
-                      PlanCase{6, 6, 6}));
-
-TEST(MigratedElements, ZeroWhenUnchanged) {
-  EXPECT_EQ(migrated_elements(1024, 4, 4), 0u);
-}
-
-TEST(MigratedElements, FactorTwoExpandMovesHalf) {
-  // 2 -> 4: old rank 0 keeps its first half on new rank 0, sends second
-  // half to rank 1; same for old rank 1 -> 2,3.  Elements staying on the
-  // same rank index: new ranks 0 and... only rank 0's first half and
-  // nothing else: ranks 1,2,3 all receive from a different source index.
-  const std::size_t total = 1024;
-  const std::size_t moved = migrated_elements(total, 2, 4);
-  EXPECT_EQ(moved, total * 3 / 4);
-}
-
-TEST(MigratedElements, FractionGrowsWithImbalance) {
-  EXPECT_LT(migrated_elements(1 << 16, 8, 16),
-            migrated_elements(1 << 16, 8, 64));
-}
-
-TEST(SendRecvBlocks, RoundTripAcrossSpawn) {
-  // End-to-end over the substrate: 3 ranks redistribute a 31-element
-  // array to 5 spawned ranks; the gathered result must be the original.
-  dmr::smpi::Universe universe;
-  constexpr std::size_t kTotal = 31;
-  constexpr int kOld = 3, kNew = 5;
-  std::mutex mu;
-  std::map<int, std::vector<double>> received;
-
-  universe.launch("old", kOld, [&](dmr::smpi::Context& ctx) {
-    const BlockDistribution dist(kTotal, kOld);
-    std::vector<double> mine(dist.count(ctx.rank()));
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      mine[i] = static_cast<double>(dist.begin(ctx.rank()) + i) * 1.5;
-    }
-    const auto inter = ctx.spawn(ctx.world(), kNew,
-                                 [&](dmr::smpi::Context& child) {
-      const auto block = recv_blocks<double>(*child.parent(), child.rank(),
-                                             kTotal, kOld, kNew, 5);
-      std::lock_guard<std::mutex> lock(mu);
-      received[child.rank()] = block;
-    });
-    send_blocks<double>(inter, ctx.rank(), std::span<const double>(mine),
-                        kTotal, kOld, kNew, 5);
-  });
-  universe.await_all();
-  ASSERT_TRUE(universe.failures().empty());
-
-  const BlockDistribution new_dist(kTotal, kNew);
-  for (int r = 0; r < kNew; ++r) {
-    const auto& block = received[r];
-    ASSERT_EQ(block.size(), new_dist.count(r)) << "rank " << r;
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      EXPECT_DOUBLE_EQ(block[i],
-                       static_cast<double>(new_dist.begin(r) + i) * 1.5);
-    }
-  }
+  EXPECT_THROW(plan_transfers(make_desc(Layout::Block, 16), 0, 4),
+               std::invalid_argument);
+  EXPECT_THROW(plan_transfers(make_desc(Layout::Block, 16), 4, -1),
+               std::invalid_argument);
+  EXPECT_THROW(plan_transfers(make_desc(Layout::Block, 0), 0, 4),
+               std::invalid_argument);
+  EXPECT_TRUE(plan_transfers(make_desc(Layout::Block, 0), 4, 2).empty());
+  EXPECT_TRUE(plan_transfers(make_desc(Layout::Block, 0), 1, 1).empty());
 }
 
 }  // namespace

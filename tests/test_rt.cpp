@@ -9,10 +9,10 @@
 #include "dmr/inhibitor.hpp"
 #include "dmr/manager.hpp"
 #include "dmr/reconfig_point.hpp"
+#include "rt/buffered_state.hpp"
 #include "rt/malleable_app.hpp"
-#include "util/config.hpp"
-#include "rt/redistribute.hpp"
 #include "smpi/universe.hpp"
+#include "util/config.hpp"
 
 namespace {
 
@@ -48,12 +48,14 @@ TEST(Inhibitor, FromEnv) {
 
 /// Minimal AppState: a distributed array where element i must equal
 /// base + i + steps_done at all times — resizes must preserve it.
-class ArrayState final : public rt::AppState {
+class ArrayState final : public rt::BufferedAppState {
  public:
-  explicit ArrayState(std::size_t total) : total_(total) {}
+  explicit ArrayState(std::size_t total) : total_(total) {
+    registry().add_block("array", local_, total_);
+  }
 
   void init(int rank, int nprocs) override {
-    const rt::BlockDistribution dist(total_, nprocs);
+    const redist::BlockDistribution dist(total_, nprocs);
     local_.resize(dist.count(rank));
     for (std::size_t i = 0; i < local_.size(); ++i) {
       local_[i] = static_cast<double>(dist.begin(rank) + i);
@@ -63,48 +65,12 @@ class ArrayState final : public rt::AppState {
     world.barrier();
     for (double& v : local_) v += 1.0;
   }
-  void send_state(const smpi::Comm& inter, int my_old_rank, int old_size,
-                  int new_size) override {
-    rt::send_blocks<double>(inter, my_old_rank,
-                            std::span<const double>(local_), total_,
-                            old_size, new_size, 11);
-  }
-  void recv_state(const smpi::Comm& parent, int my_new_rank, int old_size,
-                  int new_size) override {
-    local_ = rt::recv_blocks<double>(parent, my_new_rank, total_, old_size,
-                                     new_size, 11);
-  }
-  std::vector<std::byte> serialize_global(const smpi::Comm& world) override {
-    std::vector<double> full;
-    world.gatherv(std::span<const double>(local_), full, 0);
-    std::vector<std::byte> bytes(full.size() * sizeof(double));
-    if (world.rank() == 0) {
-      std::memcpy(bytes.data(), full.data(), bytes.size());
-    } else {
-      bytes.clear();
-    }
-    return bytes;
-  }
-  void deserialize_global(const smpi::Comm& world,
-                          std::span<const std::byte> bytes) override {
-    std::vector<std::vector<double>> chunks;
-    if (world.rank() == 0) {
-      const auto* data = reinterpret_cast<const double*>(bytes.data());
-      const rt::BlockDistribution dist(total_, world.size());
-      chunks.resize(static_cast<std::size_t>(world.size()));
-      for (int r = 0; r < world.size(); ++r) {
-        chunks[static_cast<std::size_t>(r)].assign(data + dist.begin(r),
-                                                   data + dist.end(r));
-      }
-    }
-    local_ = world.scatterv(chunks, 0);
-  }
 
   /// Validate against the oracle and report via allreduce (collective).
   static void expect_consistent(const smpi::Comm& world,
                                 const std::vector<double>& local,
                                 std::size_t total, int steps) {
-    const rt::BlockDistribution dist(total, world.size());
+    const redist::BlockDistribution dist(total, world.size());
     int bad = 0;
     for (std::size_t i = 0; i < local.size(); ++i) {
       const double expected =
