@@ -77,15 +77,25 @@ int main(int argc, char** argv) {
   }
   std::printf("load it in https://ui.perfetto.dev or chrome://tracing\n");
 
-  // 4. The other two observability surfaces: the profiler's wall-clock
-  //    split and the unified counter registry.
+  // 4. The profiler's wall-clock split, then the run's counters where
+  //    they live: the metrics and the federation's per-member routing.
   const obs::ProfileReport report = profiler.report(wall, metrics.jobs);
   std::printf("\nprofile: %.0f events/s, %lld schedule passes "
               "(%.1f us each), peak RSS %ld KiB\n",
               report.events_per_second, report.schedule_passes,
               report.seconds_per_pass * 1.0e6, report.peak_rss_kb);
-  obs::Registry registry;
-  driver.fill_counters(registry);
-  std::printf("counters: %s\n", registry.snapshot_json().c_str());
+  std::printf("counters: %lld checks, %lld aborted expands, %lld schedule "
+              "requests, %lld passes (%lld saved), %zu bytes redistributed "
+              "in %.1f s\n",
+              metrics.checks, metrics.aborted_expands,
+              metrics.schedule_requests, metrics.schedule_passes,
+              metrics.schedule_passes_saved, metrics.bytes_redistributed,
+              metrics.redistribution_seconds);
+  const fed::Federation& federation = driver.federation();
+  for (int c = 0; c < federation.cluster_count(); ++c) {
+    std::printf("placements on %s: %lld\n",
+                federation.cluster_name(c).c_str(),
+                federation.placements()[static_cast<std::size_t>(c)]);
+  }
   return 0;
 }

@@ -1,12 +1,12 @@
 #include "chk/auditor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
 
 #include "dmr/build_info.hpp"
 #include "fed/federation.hpp"
+#include "obs/json.hpp"
 #include "redist/strategy.hpp"
 #include "rms/cluster.hpp"
 #include "rms/manager.hpp"
@@ -14,37 +14,6 @@
 namespace dmr::chk {
 
 namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_violation(const Violation& violation) {
   std::ostringstream out;
@@ -74,8 +43,8 @@ std::string Report::json() const {
   for (std::size_t i = 0; i < violations.size(); ++i) {
     const Violation& v = violations[i];
     if (i != 0) out << ",";
-    out << "{\"invariant\":\"" << json_escape(v.invariant) << "\",\"job\":"
-        << v.job << ",\"message\":\"" << json_escape(v.message)
+    out << "{\"invariant\":\"" << obs::json_escape(v.invariant) << "\",\"job\":"
+        << v.job << ",\"message\":\"" << obs::json_escape(v.message)
         << "\",\"sim_time\":" << v.sim_time << "}";
   }
   out << "]," << ::dmr::bench_provenance_fields(1) << "}";
@@ -122,10 +91,6 @@ Auditor::Auditor(Options options)
                 obs::kRedistReport | obs::kSampled),
       options_(options) {}
 
-void Auditor::placed(const obs::PlaceFact& f) {
-  on_placement(f.job.id, f.member, fed::kClusterIdStride, f.now);
-}
-
 void Auditor::sampled(const obs::SampleFact& f) {
   check_federation(f.federation, f.now);
   for (int c = 0; c < f.federation.cluster_count(); ++c) {
@@ -144,8 +109,11 @@ void Auditor::violate(const char* invariant, ::dmr::JobId job, double now,
   }
 }
 
-void Auditor::lifecycle_edge(::dmr::JobId id, double now, Phase from, Phase to,
+void Auditor::lifecycle_edge(const obs::JobFact& f, Phase from, Phase to,
                              const char* edge) {
+  const ::dmr::JobId id = f.job.id;
+  const double now = f.now;
+  const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.lifecycle_edges;
   const auto it = phases_.find(id);
   if (it == phases_.end()) {
@@ -163,55 +131,56 @@ void Auditor::lifecycle_edge(::dmr::JobId id, double now, Phase from, Phase to,
   it->second = to;
 }
 
-void Auditor::on_job_submitted(::dmr::JobId id, double now) {
+void Auditor::submitted(const obs::JobFact& f) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.lifecycle_edges;
-  const auto [it, inserted] = phases_.emplace(id, Phase::Queued);
+  const auto [it, inserted] = phases_.emplace(f.job.id, Phase::Queued);
   if (!inserted) {
-    violate("job-lifecycle", id, now,
+    violate("job-lifecycle", f.job.id, f.now,
             std::string("resubmitted while ") + phase_name(it->second));
     it->second = Phase::Queued;
   }
 }
 
-void Auditor::on_job_started(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Queued, Phase::Running, "start");
+void Auditor::started(const obs::JobFact& f) {
+  lifecycle_edge(f, Phase::Queued, Phase::Running, "start");
 }
 
-void Auditor::on_job_resized(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Running, Phase::Running, "expand");
+void Auditor::resized(const obs::JobFact& f, Action action, int, int) {
+  if (action != Action::Expand) return;
+  lifecycle_edge(f, Phase::Running, Phase::Running, "expand");
+  check_manager(f.manager, f.now);
 }
 
-void Auditor::on_shrink_begun(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Running, Phase::Reconfiguring, "shrink-begin");
+void Auditor::shrink_begun(const obs::JobFact& f, int) {
+  lifecycle_edge(f, Phase::Running, Phase::Reconfiguring, "shrink-begin");
+  check_manager(f.manager, f.now);
 }
 
-void Auditor::on_shrink_ended(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Reconfiguring, Phase::Running, "shrink-end");
+void Auditor::shrink_ended(const obs::JobFact& f, bool completed) {
+  lifecycle_edge(f, Phase::Reconfiguring, Phase::Running, "shrink-end");
+  if (completed) check_manager(f.manager, f.now);
 }
 
-void Auditor::on_job_finished(::dmr::JobId id, double now) {
+void Auditor::finished(const obs::JobFact& f) {
+  const ::dmr::JobId id = f.job.id;
   const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.lifecycle_edges;
   const auto it = phases_.find(id);
   if (it == phases_.end()) {
-    violate("job-lifecycle", id, now, "finished but never submitted");
+    violate("job-lifecycle", id, f.now, "finished but never submitted");
     phases_[id] = Phase::Done;
     return;
   }
   if (it->second == Phase::Done) {
-    violate("job-lifecycle", id, now, "finished twice");
+    violate("job-lifecycle", id, f.now, "finished twice");
     return;
   }
   it->second = Phase::Done;
 }
 
-void Auditor::on_event_dispatch(double time, int lane, std::uint64_t seq,
-                                double clock, std::uint64_t seq_watermark) {
+void Auditor::dispatched(const obs::DispatchFact& f) {
+  const auto [time, lane, seq, clock, seq_watermark] = f;
   const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.event_dispatches;
   if (time < clock) {
@@ -243,16 +212,16 @@ void Auditor::on_event_dispatch(double time, int lane, std::uint64_t seq,
   last_watermark_ = seq_watermark;
 }
 
-void Auditor::on_placement(::dmr::JobId id, int member, ::dmr::JobId stride,
-                           double now) {
+void Auditor::placed(const obs::PlaceFact& f) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.placement_checks;
-  const ::dmr::JobId lo = static_cast<::dmr::JobId>(member) * stride;
-  if (id <= lo || id > lo + stride) {
+  const ::dmr::JobId stride = fed::kClusterIdStride;
+  const ::dmr::JobId lo = static_cast<::dmr::JobId>(f.member) * stride;
+  if (f.job.id <= lo || f.job.id > lo + stride) {
     std::ostringstream msg;
-    msg << "placed id on member " << member << " outside its range (" << lo
+    msg << "placed id on member " << f.member << " outside its range (" << lo
         << ", " << lo + stride << "]";
-    violate("fed-id-range", id, now, msg.str());
+    violate("fed-id-range", f.job.id, f.now, msg.str());
   }
 }
 
@@ -360,17 +329,17 @@ void Auditor::check_manager(const rms::Manager& manager, double now) {
   }
 }
 
-void Auditor::on_redist_report(const redist::Report& report,
-                               std::size_t registered_bytes, double now) {
+void Auditor::redist_report(const obs::RedistFact& f) {
+  const redist::Report& report = f.report;
   const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.redist_reports;
   const auto fail = [&](const std::string& message) {
-    violate("byte-conservation", ::dmr::kInvalidJob, now, message);
+    violate("byte-conservation", ::dmr::kInvalidJob, f.now, message);
   };
-  if (report.bytes_total != registered_bytes) {
+  if (report.bytes_total != f.registered_bytes) {
     std::ostringstream msg;
     msg << "report accounts for " << report.bytes_total << " bytes but "
-        << registered_bytes << " are registered";
+        << f.registered_bytes << " are registered";
     fail(msg.str());
   }
   // A store-routed report may legitimately move every byte twice (write

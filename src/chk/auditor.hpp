@@ -4,8 +4,9 @@
 // runs with observability attached, snapshot/fork equality) are pinned by
 // end-to-end property tests that say *that* a run diverged, never
 // *where*.  The auditor is the "where": a subscriber of the lifecycle
-// stream (obs/sink.hpp), it receives every layer's transitions and
-// machine-checks the invariants the tests rely on:
+// stream (obs/sink.hpp), it receives every layer's transitions through
+// its Sink methods, and only through them, and machine-checks the
+// invariants the tests rely on:
 //
 //  - per-job lifecycle DFA: submitted -> queued -> running
 //    {-> reconfiguring -> running}* -> done; every other edge is a
@@ -32,7 +33,9 @@
 // Full conservation sweeps (check_manager) run after every schedule()
 // call that ran a pass, after an expansion is granted, when a shrink
 // begins and when it completes; the resident service's samples add a
-// federation sweep plus a sweep of every member.
+// federation sweep plus a sweep of every member.  check_manager and
+// check_federation are also callable directly.  Unit tests hand-feed
+// facts through an obs::Stream (tests/fact_feed.hpp).
 #pragma once
 
 #include <cstdint>
@@ -44,16 +47,12 @@
 
 #include "dmr/types.hpp"
 #include "obs/sink.hpp"
-#include "rms/job.hpp"
 
 namespace dmr::rms {
 class Manager;
 }
 namespace dmr::fed {
 class Federation;
-}
-namespace dmr::redist {
-struct Report;
 }
 
 namespace dmr::chk {
@@ -115,90 +114,44 @@ class Auditor : public obs::Sink {
   Auditor() : Auditor(Options{}) {}
   explicit Auditor(Options options);
 
-  // --- stream subscription ---------------------------------------------------
+  // --- stream subscription: the only way facts reach the auditor ---------
 
-  void submitted(const obs::JobFact& f) override {
-    on_job_submitted(f.job.id, f.now);
-  }
-  void started(const obs::JobFact& f) override {
-    on_job_started(f.job.id, f.now);
-  }
-  void resized(const obs::JobFact& f, Action action, int, int) override {
-    if (action != Action::Expand) return;  // shrink_ended checks shrinks
-    on_job_resized(f.job.id, f.now);
-    check_manager(f.manager, f.now);
-  }
-  void shrink_begun(const obs::JobFact& f, int) override {
-    on_shrink_begun(f.job.id, f.now);
-    check_manager(f.manager, f.now);
-  }
-  void shrink_ended(const obs::JobFact& f, bool completed) override {
-    on_shrink_ended(f.job.id, f.now);
-    if (completed) check_manager(f.manager, f.now);
-  }
-  void finished(const obs::JobFact& f) override {
-    on_job_finished(f.job.id, f.now);
-  }
+  // Per-job lifecycle DFA edges (internal resizer jobs included).
+  void submitted(const obs::JobFact& f) override;
+  void started(const obs::JobFact& f) override;
+  /// An expansion was applied (legal only while running); also sweeps
+  /// the manager.  Shrinks are checked on shrink_ended.
+  void resized(const obs::JobFact& f, Action action, int, int) override;
+  /// running -> reconfiguring, plus a manager sweep.
+  void shrink_begun(const obs::JobFact& f, int) override;
+  /// reconfiguring -> running; a completed drain also sweeps the manager.
+  void shrink_ended(const obs::JobFact& f, bool completed) override;
+  /// Completion or cancellation: queued/running/reconfiguring -> done.
+  void finished(const obs::JobFact& f) override;
   void schedule_pass(const obs::PassFact& f) override {
     check_manager(f.manager, f.now);
   }
+  /// The placed id must lie inside the member's disjoint id range.
   void placed(const obs::PlaceFact& f) override;
-  void dispatched(const obs::DispatchFact& f) override {
-    on_event_dispatch(f.time, f.lane, f.seq, f.clock, f.watermark);
-  }
-  void redist_report(const obs::RedistFact& f) override {
-    on_redist_report(f.report, f.registered_bytes, f.now);
-  }
+  /// Event ordering: the clock never moves backwards, and events that
+  /// coexisted in the queue (seq below the previous pop's watermark)
+  /// dispatch in (time, lane, seq) order.
+  void dispatched(const obs::DispatchFact& f) override;
+  /// Byte conservation: the report accounts for exactly the registered
+  /// bytes (modeled reports pass their own total).
+  void redist_report(const obs::RedistFact& f) override;
   /// The service's sample heartbeat: federation plus every member.
   void sampled(const obs::SampleFact& f) override;
 
-  // --- per-job lifecycle DFA -------------------------------------------------
+  // --- full sweeps -----------------------------------------------------------
 
-  void on_job_submitted(::dmr::JobId id, double now);
-  void on_job_started(::dmr::JobId id, double now);
-  /// An expansion was applied (legal only while running).
-  void on_job_resized(::dmr::JobId id, double now);
-  /// A shrink began draining: running -> reconfiguring.
-  void on_shrink_begun(::dmr::JobId id, double now);
-  /// The drain completed or aborted: reconfiguring -> running.
-  void on_shrink_ended(::dmr::JobId id, double now);
-  /// Completion or cancellation: queued/running/reconfiguring -> done.
-  void on_job_finished(::dmr::JobId id, double now);
-
-  // --- sim::Engine event ordering --------------------------------------------
-
-  /// Called as an event leaves the queue.  `clock` is the engine's time
-  /// before this event advances it; `seq_watermark` is the engine's
-  /// next-sequence counter, which tells the auditor whether the previous
-  /// event could have seen this one in the queue (only then is
-  /// (time, lane, seq) dispatch order enforceable).
-  void on_event_dispatch(double time, int lane, std::uint64_t seq,
-                         double clock, std::uint64_t seq_watermark);
-
-  // --- federation identity ---------------------------------------------------
-
-  /// A submit-time routing decision: `id` must lie inside member
-  /// `member`'s disjoint id range of width `stride`.
-  void on_placement(::dmr::JobId id, int member, ::dmr::JobId stride,
-                    double now);
-  /// Full sweep: every member's job table stays inside its id range and
-  /// routes back to the member that owns it.
+  /// Every member's job table stays inside its id range and routes back
+  /// to the member that owns it.
   void check_federation(const fed::Federation& federation, double now);
-
-  // --- node conservation -----------------------------------------------------
-
-  /// Full sweep of one manager: recompute idle/allocated/draining from
-  /// the node table and cross-check counters, partitions, and every
+  /// Node conservation in one manager: recompute idle/allocated/draining
+  /// from the node table and cross-check counters, partitions, and every
   /// job's node list against the owner table.
   void check_manager(const rms::Manager& manager, double now);
-
-  // --- redistribution byte conservation --------------------------------------
-
-  /// `registered_bytes` is the registry's total at execution time (the
-  /// report must account for exactly those bytes); pass
-  /// `report.bytes_total` for modeled reports with no registry.
-  void on_redist_report(const redist::Report& report,
-                        std::size_t registered_bytes, double now);
 
   // --- results ---------------------------------------------------------------
 
@@ -216,7 +169,7 @@ class Auditor : public obs::Sink {
   void violate(const char* invariant, ::dmr::JobId job, double now,
                std::string message);
   /// DFA edge helper: job must currently be in `from`; moves it to `to`.
-  void lifecycle_edge(::dmr::JobId id, double now, Phase from, Phase to,
+  void lifecycle_edge(const obs::JobFact& f, Phase from, Phase to,
                       const char* edge);
 
   Options options_;

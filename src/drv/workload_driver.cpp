@@ -329,41 +329,6 @@ WorkloadMetrics WorkloadDriver::run() {
   return collect_metrics();
 }
 
-void WorkloadDriver::fill_counters(obs::Registry& registry) const {
-  const rms::Manager::Counters counters = federation_.counters();
-  registry.set("rms.expands", static_cast<double>(counters.expands));
-  registry.set("rms.shrinks", static_cast<double>(counters.shrinks));
-  registry.set("rms.no_actions", static_cast<double>(counters.no_actions));
-  registry.set("rms.aborted_expands",
-               static_cast<double>(counters.aborted_expands));
-  registry.set("rms.checks", static_cast<double>(counters.checks));
-  registry.set("rms.schedule.requests",
-               static_cast<double>(counters.schedule_requests));
-  registry.set("rms.schedule.passes",
-               static_cast<double>(counters.schedule_passes));
-  registry.set("rms.schedule.passes_saved",
-               static_cast<double>(counters.schedule_passes_saved));
-  registry.set("drv.completed", static_cast<double>(completed_));
-  registry.set("drv.redist.bytes",
-               static_cast<double>(bytes_redistributed_));
-  registry.set("drv.redist.seconds", redistribution_seconds_);
-  if (config_.hooks.attr != nullptr) {
-    const std::vector<double> totals = config_.hooks.attr->cause_totals();
-    for (int r = 0; r < obs::kBlockReasonCount; ++r) {
-      registry.set(
-          std::string("attr.wait.") +
-              obs::block_reason_key(static_cast<obs::BlockReason>(r)),
-          totals[static_cast<std::size_t>(r)]);
-    }
-  }
-  for (int c = 0; c < federation_.cluster_count(); ++c) {
-    registry.set(
-        "fed.placements." + federation_.cluster_name(c),
-        static_cast<double>(
-            federation_.placements()[static_cast<std::size_t>(c)]));
-  }
-}
-
 WorkloadMetrics WorkloadDriver::collect_metrics() const {
   WorkloadMetrics metrics;
   std::vector<double> waits, execs, completions;

@@ -30,7 +30,6 @@
 #include "drv/metrics.hpp"
 #include "fed/federation.hpp"
 #include "obs/hooks.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "rms/manager.hpp"
 #include "sim/engine.hpp"
@@ -120,12 +119,6 @@ class WorkloadDriver : private obs::Sink {
 
   /// Jobs whose sessions completed so far.
   int completed() const { return completed_; }
-
-  /// Mirror every legacy counter into the unified registry: manager
-  /// counters under "rms.", redistribution totals under "drv.redist.",
-  /// per-member routing under "fed.placements.<cluster>".  Overwrites,
-  /// so a snapshot always equals the live legacy values.
-  void fill_counters(obs::Registry& registry) const;
 
   /// The figure step series ("allocated", "running", "completed", and
   /// per-member / per-partition "allocated@..." / "allocated:...").

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace dmr::obs {
 
@@ -97,13 +96,13 @@ std::vector<CauseSlice> ranked_causes(const JobAttribution& job) {
 
 // --- WaitAttributor ---------------------------------------------------------
 
-void WaitAttributor::on_job_submitted(JobId id, const std::string& name,
-                                      double now) {
-  JobAttribution& job = jobs_[id];
-  job.id = id;
-  job.name = name;
-  job.submit = now;
-  open_[id] = OpenSegment{BlockReason::kUnattributed, 0, now};
+void WaitAttributor::submitted(const JobFact& f) {
+  if (f.job.spec.internal_resizer) return;
+  JobAttribution& job = jobs_[f.job.id];
+  job.id = f.job.id;
+  job.name = f.job.spec.name;
+  job.submit = f.now;
+  open_[f.job.id] = OpenSegment{BlockReason::kUnattributed, 0, f.now};
 }
 
 void WaitAttributor::close_segment(JobAttribution& job,
@@ -118,9 +117,10 @@ void WaitAttributor::close_segment(JobAttribution& job,
   job.slices.push_back(CauseSlice{open.cause, open.blocker, seconds});
 }
 
-void WaitAttributor::on_job_blocked(JobId id, double now, BlockReason cause,
-                                    JobId blocker) {
-  const auto it = open_.find(id);
+void WaitAttributor::blocked(const JobFact& f, BlockReason cause,
+                             JobId blocker) {
+  if (f.job.spec.internal_resizer) return;
+  const auto it = open_.find(f.job.id);
   if (it == open_.end()) return;  // unknown, or already started
   OpenSegment& open = it->second;
   if (open.cause == BlockReason::kUnattributed) {
@@ -130,23 +130,24 @@ void WaitAttributor::on_job_blocked(JobId id, double now, BlockReason cause,
     return;
   }
   if (open.cause == cause && open.blocker == blocker) return;
-  const auto job = jobs_.find(id);
-  if (job != jobs_.end()) close_segment(job->second, open, now);
-  open = OpenSegment{cause, blocker, now};
+  const auto job = jobs_.find(f.job.id);
+  if (job != jobs_.end()) close_segment(job->second, open, f.now);
+  open = OpenSegment{cause, blocker, f.now};
 }
 
-void WaitAttributor::on_job_started(JobId id, double now) {
-  const auto it = open_.find(id);
+void WaitAttributor::started(const JobFact& f) {
+  if (f.job.spec.internal_resizer) return;
+  const auto it = open_.find(f.job.id);
   if (it == open_.end()) return;
-  const auto record = jobs_.find(id);
+  const auto record = jobs_.find(f.job.id);
   if (record != jobs_.end()) {
     JobAttribution& job = record->second;
-    job.start = now;
+    job.start = f.now;
     // The final segment absorbs accumulated rounding so the slices tile
     // [submit, start] exactly: sum(seconds) == start - submit by
     // construction, the conservation property tests assert.
     OpenSegment final = it->second;
-    const double wait = now - job.submit;
+    const double wait = f.now - job.submit;
     const double correction = wait - job.attributed_seconds();
     if (std::abs(correction) > 0.0) {
       if (!job.slices.empty() && job.slices.back().cause == final.cause &&
@@ -161,31 +162,27 @@ void WaitAttributor::on_job_started(JobId id, double now) {
   open_.erase(it);
 }
 
-void WaitAttributor::on_job_finished(JobId id, double now) {
-  const auto record = jobs_.find(id);
+void WaitAttributor::finished(const JobFact& f) {
+  if (f.job.spec.internal_resizer) return;
+  const auto record = jobs_.find(f.job.id);
   if (record == jobs_.end()) return;
-  const auto it = open_.find(id);
+  const auto it = open_.find(f.job.id);
   if (it != open_.end()) {
     // Cancelled while pending: close the wait at the cancellation.
-    close_segment(record->second, it->second, now);
+    close_segment(record->second, it->second, f.now);
     open_.erase(it);
   }
-  record->second.end = now;
-}
-
-void WaitAttributor::on_placement(JobId id, int member,
-                                  const std::string& note) {
-  const auto record = jobs_.find(id);
-  if (record == jobs_.end()) return;
-  record->second.member = member;
-  record->second.placement = note;
+  record->second.end = f.now;
 }
 
 void WaitAttributor::placed(const PlaceFact& f) {
+  const auto record = jobs_.find(f.job.id);
+  if (record == jobs_.end()) return;
   std::string note = "policy=" + f.policy + " -> " + f.cluster +
                      " queue_depth=" + std::to_string(f.queue_depth);
   if (!f.rejected.empty()) note += " rejected=" + f.rejected;
-  on_placement(f.job.id, f.member, note);
+  record->second.member = f.member;
+  record->second.placement = note;  // a copy is sized to fit
 }
 
 std::vector<double> WaitAttributor::cause_totals(double now) const {
@@ -234,8 +231,8 @@ std::string WaitAttributor::to_json() const {
     first = false;
     out << "{\"end\":" << fmt(job.end) << ",\"id\":" << id
         << ",\"member\":" << job.member << ",\"name\":\""
-        << TraceRecorder::escape(job.name) << "\",\"placement\":\""
-        << TraceRecorder::escape(job.placement) << "\",\"slices\":[";
+        << json_escape(job.name) << "\",\"placement\":\""
+        << json_escape(job.placement) << "\",\"slices\":[";
     for (std::size_t s = 0; s < job.slices.size(); ++s) {
       const CauseSlice& slice = job.slices[s];
       if (s > 0) out << ",";

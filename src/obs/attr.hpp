@@ -8,7 +8,9 @@
 // shrink-pending, dependency gating) emits a typed BlockReason as a
 // `blocked` fact on the lifecycle stream (obs/sink.hpp), and the
 // attributor, one of the stream's subscribers, folds the facts into
-// per-job wait decompositions.
+// per-job wait decompositions.  Facts reach it only through its Sink
+// methods; unit tests hand-feed them through an obs::Stream
+// (tests/fact_feed.hpp).
 //
 // Conservation is the contract: a job's wait [submit, start] is tiled
 // by contiguous cause segments — one segment is open at any moment, a
@@ -106,42 +108,22 @@ class WaitAttributor : public Sink {
   WaitAttributor()
       : Sink(kSubmitted | kStarted | kFinished | kBlocked | kPlaced) {}
 
-  // --- stream subscription (user jobs only: a resizer's wait is part of
-  // its parent's reconfiguration, not queueing) ------------------------------
+  // --- stream subscription (the only way facts reach the attributor; user
+  // jobs only: a resizer's wait is part of its parent's reconfiguration,
+  // not queueing) -------------------------------------------------------------
 
-  void submitted(const JobFact& f) override {
-    if (!f.job.spec.internal_resizer) {
-      on_job_submitted(f.job.id, f.job.spec.name, f.now);
-    }
-  }
-  void started(const JobFact& f) override {
-    if (!f.job.spec.internal_resizer) on_job_started(f.job.id, f.now);
-  }
-  void finished(const JobFact& f) override {
-    if (!f.job.spec.internal_resizer) on_job_finished(f.job.id, f.now);
-  }
-  void blocked(const JobFact& f, BlockReason reason, JobId blocker) override {
-    if (!f.job.spec.internal_resizer) {
-      on_job_blocked(f.job.id, f.now, reason, blocker);
-    }
-  }
-  /// Placement provenance: "policy=P -> member queue_depth=N" plus the
-  /// members that rejected the job.
-  void placed(const PlaceFact& f) override;
-
-  // --- decision-point feed ---------------------------------------------------
-
-  void on_job_submitted(JobId id, const std::string& name, double now);
+  void submitted(const JobFact& f) override;
   /// Re-diagnosis of a still-pending job.  Same cause and blocker as the
   /// open segment: no-op.  Different: closes the open segment at `now`
   /// and opens the next.  A still-unattributed segment is back-dated
   /// instead (the cause held since submit).
-  void on_job_blocked(JobId id, double now, BlockReason cause, JobId blocker);
-  void on_job_started(JobId id, double now);
-  void on_job_finished(JobId id, double now);
-  /// Placement provenance (zero-duration decision record; conservation
-  /// is unaffected).
-  void on_placement(JobId id, int member, const std::string& note);
+  void blocked(const JobFact& f, BlockReason cause, JobId blocker) override;
+  void started(const JobFact& f) override;
+  void finished(const JobFact& f) override;
+  /// Placement provenance, "policy=P -> member queue_depth=N" plus the
+  /// members that rejected the job (a zero-duration decision record;
+  /// conservation is unaffected).
+  void placed(const PlaceFact& f) override;
 
   // --- aggregates ------------------------------------------------------------
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace dmr::chk {

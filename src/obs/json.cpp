@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <exception>
 
 namespace dmr::obs {
@@ -244,6 +245,29 @@ std::string json_string(const JsonValue* value) {
   return value != nullptr && value->kind == JsonValue::Kind::String
              ? value->text
              : std::string();
+}
+
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof(hex), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += hex;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace dmr::obs

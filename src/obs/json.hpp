@@ -1,7 +1,8 @@
 // A compact recursive-descent JSON reader shared by the observability
 // consumers: trace validation (obs/validate.cpp), attribution sidecar
 // loading (obs/attr.cpp) and the bench-row provenance checker
-// (tools/bench_validate.cpp).
+// (tools/bench_validate.cpp); and the one string escaper every JSON
+// writer uses (trace, chk report, attribution sidecar, sweep rows).
 //
 // The reader's output is only trustworthy if something independent
 // re-reads it, so this is a real parser, not a regex scan.  It accepts
@@ -44,5 +45,10 @@ double json_number(const JsonValue* value, double fallback = 0.0);
 /// The string value of `value`, or empty when it is null or not a
 /// string.
 std::string json_string(const JsonValue* value);
+
+/// `text` escaped for use between the quotes of a JSON string: `"`, `\`,
+/// \n and \t by name, every other control byte as \u00XX, so
+/// parse_json reads back exactly `text`.
+std::string json_escape(const std::string& text);
 
 }  // namespace dmr::obs

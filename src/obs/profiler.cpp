@@ -10,7 +10,9 @@
 namespace dmr::obs {
 
 void Profiler::redist_report(const RedistFact& f) {
-  if (!f.simulated) add_redist(f.report.seconds);
+  if (f.simulated) return;
+  redists_.fetch_add(1, std::memory_order_relaxed);
+  add(redist_us_, f.report.seconds);
 }
 
 long Profiler::peak_rss_kb() {

@@ -2,8 +2,8 @@
 //
 // The archive-scale roadmap item starts with "pull a real log through,
 // profile, and rebuild the hot path"; this is the measurement half.
-// As a lifecycle-stream subscriber (obs/sink.hpp) it accumulates while
-// a run executes:
+// As a lifecycle-stream subscriber (obs/sink.hpp), fed only through its
+// Sink methods, it accumulates while a run executes:
 //
 //  - every dispatched event (sim::Engine's `dispatched` fact);
 //  - the wall seconds of real schedule passes (rms::Manager);
@@ -18,7 +18,8 @@
 //
 // All mutation is relaxed-atomic: sweep attaches one profiler to every
 // worker thread's scenario, and per-event cost must stay at one
-// increment.
+// increment.  Unit tests hand-feed facts through an obs::Stream
+// (tests/fact_feed.hpp).
 #pragma once
 
 #include <atomic>
@@ -58,33 +59,22 @@ class Profiler : public Sink {
  public:
   Profiler() : Sink(kDispatched | kSchedulePass | kPlaced | kRedistReport) {}
 
-  // --- stream subscription ---------------------------------------------------
+  // --- stream subscription: the only way facts reach the profiler
+  // (relaxed atomics; callable cross-thread) ---------------------------------
 
-  void dispatched(const DispatchFact&) override { on_event(); }
+  void dispatched(const DispatchFact&) override {
+    events_.fetch_add(1, std::memory_order_relaxed);
+  }
   void schedule_pass(const PassFact& f) override {
-    add_schedule(f.wall_seconds);
-  }
-  void placed(const PlaceFact& f) override { add_placement(f.wall_seconds); }
-  void redist_report(const RedistFact& f) override;
-
-  // --- accumulation hooks (relaxed atomics; callable cross-thread) ----------
-
-  void on_event() { events_.fetch_add(1, std::memory_order_relaxed); }
-  void add_events(std::uint64_t count) {
-    events_.fetch_add(count, std::memory_order_relaxed);
-  }
-  void add_schedule(double wall_seconds) {
     schedule_passes_.fetch_add(1, std::memory_order_relaxed);
-    add(schedule_us_, wall_seconds);
+    add(schedule_us_, f.wall_seconds);
   }
-  void add_placement(double wall_seconds) {
+  void placed(const PlaceFact& f) override {
     placements_.fetch_add(1, std::memory_order_relaxed);
-    add(placement_us_, wall_seconds);
+    add(placement_us_, f.wall_seconds);
   }
-  void add_redist(double wall_seconds) {
-    redists_.fetch_add(1, std::memory_order_relaxed);
-    add(redist_us_, wall_seconds);
-  }
+  /// Measured strategy reports only: modeled ones carry simulated time.
+  void redist_report(const RedistFact& f) override;
 
   std::uint64_t events() const {
     return events_.load(std::memory_order_relaxed);

@@ -107,9 +107,6 @@ class TraceRecorder {
   /// write_json to `path`; throws std::runtime_error when unwritable.
   void write_file(const std::string& path) const;
 
-  /// JSON-escape a string for use inside args/name values.
-  static std::string escape(const std::string& text);
-
  private:
   void push(TraceEvent event);
 

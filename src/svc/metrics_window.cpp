@@ -105,7 +105,6 @@ std::string MetricsSample::to_json() const {
       << ",\"response_p99\":" << response_p99
       << ",\"submitted_total\":" << submitted_total
       << ",\"rejected_full_total\":" << rejected_full_total
-      << ",\"rejected_full_cum\":" << rejected_full_cum
       << ",\"rejected_stale_total\":" << rejected_stale_total;
   for (std::size_t c = 0; c < cause_seconds.size() && c < cause_keys.size();
        ++c) {

@@ -84,10 +84,6 @@ struct MetricsSample {
   double response_p99 = 0.0;
   long long submitted_total = 0;
   long long rejected_full_total = 0;
-  /// Monotonic cumulative ring rejections as mirrored in the unified
-  /// obs::Registry ("svc.ring.rejected_full") — alertable without
-  /// diffing windows.
-  long long rejected_full_cum = 0;
   long long rejected_stale_total = 0;
   /// Cumulative wait seconds per obs::BlockReason (enum-index order,
   /// open segments counted up to sample time).  Empty when the service

@@ -137,9 +137,6 @@ void Service::take_sample() {
   sample.submitted_total = accepted_;
   sample.rejected_full_total =
       static_cast<long long>(queue_.rejected_full());
-  fill_counters(registry_);
-  sample.rejected_full_cum =
-      static_cast<long long>(registry_.value("svc.ring.rejected_full"));
   sample.rejected_stale_total = rejected_stale_;
   if (attr_ptr_ != nullptr) {
     // Open segments count up to the sample instant so a live view shows
@@ -161,21 +158,6 @@ void Service::take_sample() {
   samples_.push_back(sample);
   lines_.push_back(sample.to_json());
   if (sink_) sink_(lines_.back());
-}
-
-const obs::Registry& Service::counters() {
-  fill_counters(registry_);
-  return registry_;
-}
-
-void Service::fill_counters(obs::Registry& registry) const {
-  driver_.fill_counters(registry);
-  registry.set("svc.accepted", static_cast<double>(accepted_));
-  registry.set("svc.rejected_stale", static_cast<double>(rejected_stale_));
-  registry.set("svc.ring.rejected_full",
-               static_cast<double>(queue_.rejected_full()));
-  registry.set("svc.ring.depth", static_cast<double>(queue_.size()));
-  registry.set("svc.samples", static_cast<double>(samples_.size()));
 }
 
 void Service::add_nodes(int count, int member, const std::string& partition) {

@@ -10,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "dmr/check.hpp"
 #include "dmr/observe.hpp"
 #include "dmr/service.hpp"
 #include "dmr/simulation.hpp"
+#include "fact_feed.hpp"
 
 namespace {
 
@@ -192,14 +194,15 @@ TEST(WaitAttribution, AttachedAttributorNeverPerturbsOutcomes) {
 
 TEST(WaitAttributor, BackDatesFirstDiagnosisAndClosesOnChange) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
+  test::FactFeed feed(attr);
+  feed.submitted(1, 0.0, "a");
   // First diagnosis back-dates to the submit: the cause held all along.
-  attr.on_job_blocked(1, 5.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.blocked(1, 5.0, obs::BlockReason::kInsufficientIdle, 2);
   // Re-diagnosis with the same cause and blocker is a no-op.
-  attr.on_job_blocked(1, 6.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.blocked(1, 6.0, obs::BlockReason::kInsufficientIdle, 2);
   // A different cause closes the segment and opens the next.
-  attr.on_job_blocked(1, 8.0, obs::BlockReason::kEasyReservation, 3);
-  attr.on_job_started(1, 10.0);
+  feed.blocked(1, 8.0, obs::BlockReason::kEasyReservation, 3);
+  feed.started(1, 10.0);
 
   const auto& job = attr.jobs().at(1);
   ASSERT_EQ(job.slices.size(), 2u);
@@ -212,17 +215,18 @@ TEST(WaitAttributor, BackDatesFirstDiagnosisAndClosesOnChange) {
   EXPECT_DOUBLE_EQ(job.attributed_seconds(), job.wait_seconds());
 
   // Post-start reports are ignored (the wait is over).
-  attr.on_job_blocked(1, 12.0, obs::BlockReason::kDependency, 9);
+  feed.blocked(1, 12.0, obs::BlockReason::kDependency, 9);
   EXPECT_EQ(attr.jobs().at(1).slices.size(), 2u);
 }
 
 TEST(WaitAttributor, RankedCausesAggregateAcrossSlices) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
-  attr.on_job_blocked(1, 1.0, obs::BlockReason::kInsufficientIdle, 2);
-  attr.on_job_blocked(1, 3.0, obs::BlockReason::kEasyReservation, 3);
-  attr.on_job_blocked(1, 4.0, obs::BlockReason::kInsufficientIdle, 2);
-  attr.on_job_started(1, 10.0);
+  test::FactFeed feed(attr);
+  feed.submitted(1, 0.0, "a");
+  feed.blocked(1, 1.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.blocked(1, 3.0, obs::BlockReason::kEasyReservation, 3);
+  feed.blocked(1, 4.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.started(1, 10.0);
   const auto ranked = obs::ranked_causes(attr.jobs().at(1));
   ASSERT_EQ(ranked.size(), 2u);
   // insufficient-idle accumulated [0,3) + [4,10) = 9 s, easy 1 s.
@@ -234,9 +238,10 @@ TEST(WaitAttributor, RankedCausesAggregateAcrossSlices) {
 
 TEST(WaitAttributor, CancelledPendingJobClosesAtCancellation) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
-  attr.on_job_blocked(1, 2.0, obs::BlockReason::kPartitionPinned, 0);
-  attr.on_job_finished(1, 7.0);  // cancelled while pending
+  test::FactFeed feed(attr);
+  feed.submitted(1, 0.0, "a");
+  feed.blocked(1, 2.0, obs::BlockReason::kPartitionPinned, 0);
+  feed.finished(1, 7.0);  // cancelled while pending
   const auto& job = attr.jobs().at(1);
   EXPECT_LT(job.start, 0.0);
   ASSERT_EQ(job.slices.size(), 1u);
@@ -246,8 +251,9 @@ TEST(WaitAttributor, CancelledPendingJobClosesAtCancellation) {
 
 TEST(WaitAttributor, LiveCauseTotalsCountOpenSegments) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
-  attr.on_job_blocked(1, 1.0, obs::BlockReason::kDrainingWait, 5);
+  test::FactFeed feed(attr);
+  feed.submitted(1, 0.0, "a");
+  feed.blocked(1, 1.0, obs::BlockReason::kDrainingWait, 5);
   const auto live = attr.cause_totals(6.0);
   EXPECT_DOUBLE_EQ(
       live[static_cast<std::size_t>(obs::BlockReason::kDrainingWait)], 6.0);
@@ -255,6 +261,42 @@ TEST(WaitAttributor, LiveCauseTotalsCountOpenSegments) {
   const auto closed = attr.cause_totals();
   EXPECT_DOUBLE_EQ(
       closed[static_cast<std::size_t>(obs::BlockReason::kDrainingWait)], 0.0);
+}
+
+TEST(WaitAttributor, IgnoresInternalResizersTheAuditorStillTracks) {
+  obs::WaitAttributor attr;
+  chk::Auditor auditor;
+  test::FactFeed feed(auditor, attr);
+  feed.job(9).spec.internal_resizer = true;
+  feed.submitted(9, 0.0, "resizer");
+  feed.submitted(1, 0.0, "user");
+  feed.blocked(9, 1.0, obs::BlockReason::kDependency, 1);
+  feed.blocked(1, 1.0, obs::BlockReason::kInsufficientIdle, 0);
+  feed.started(1, 2.0);
+  feed.started(9, 2.0);
+  feed.finished(9, 3.0);
+  // A resizer's wait is part of its parent's reconfiguration: only the
+  // user job is attributed.
+  ASSERT_EQ(attr.jobs().size(), 1u);
+  EXPECT_EQ(attr.jobs().begin()->first, 1);
+  const auto totals = attr.cause_totals(4.0);
+  EXPECT_DOUBLE_EQ(
+      totals[static_cast<std::size_t>(obs::BlockReason::kDependency)], 0.0);
+  EXPECT_DOUBLE_EQ(
+      totals[static_cast<std::size_t>(obs::BlockReason::kInsufficientIdle)],
+      2.0);
+
+  // The auditor's lifecycle DFA covers the resizer all the same: its
+  // three edges are clean, and an illegal fourth is a violation.
+  const chk::Report clean = auditor.report();
+  EXPECT_TRUE(clean.ok()) << clean.describe();
+  EXPECT_EQ(clean.lifecycle_edges, 5);
+  feed.started(9, 5.0);
+  const chk::Report report = auditor.report();
+  ASSERT_EQ(report.violations.size(), 1u) << report.describe();
+  EXPECT_EQ(report.violations[0].invariant, "job-lifecycle");
+  EXPECT_EQ(report.violations[0].job, 9);
+  EXPECT_DOUBLE_EQ(report.violations[0].sim_time, 5.0);
 }
 
 // --- sidecar round trip ------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "dmr/check.hpp"
 #include "dmr/observe.hpp"
 #include "dmr/simulation.hpp"
+#include "fact_feed.hpp"
 
 namespace {
 
@@ -34,22 +35,27 @@ chk::Violation only_violation(const chk::Report& report) {
 
 TEST(Lifecycle, LegalCycleIsClean) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(7, 0.0);
-  auditor.on_job_started(7, 1.0);
-  auditor.on_job_resized(7, 2.0);
-  auditor.on_shrink_begun(7, 3.0);
-  auditor.on_shrink_ended(7, 4.0);
-  auditor.on_shrink_begun(7, 5.0);
-  auditor.on_shrink_ended(7, 6.0);
-  auditor.on_job_finished(7, 7.0);
+  test::FactFeed feed(auditor);
+  feed.submitted(7, 0.0);
+  feed.started(7, 1.0);
+  feed.resized(7, 2.0);
+  feed.shrink_begun(7, 3.0);
+  feed.shrink_ended(7, 4.0);
+  feed.shrink_begun(7, 5.0);
+  feed.shrink_ended(7, 6.0);
+  feed.finished(7, 7.0);
   const chk::Report report = auditor.report();
   EXPECT_TRUE(report.ok()) << report.describe();
   EXPECT_EQ(report.lifecycle_edges, 8);
+  // The expand and both shrinks' begin and completed end each sweep the
+  // fact's manager.
+  EXPECT_EQ(report.conservation_audits, 5);
 }
 
 TEST(Lifecycle, StartWithoutSubmitCarriesJobIdAndTime) {
   chk::Auditor auditor;
-  auditor.on_job_started(42, 12.5);
+  test::FactFeed feed(auditor);
+  feed.started(42, 12.5);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 42);
@@ -59,8 +65,9 @@ TEST(Lifecycle, StartWithoutSubmitCarriesJobIdAndTime) {
 
 TEST(Lifecycle, ResubmitWhileQueuedIsIllegal) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(3, 0.0);
-  auditor.on_job_submitted(3, 1.0);
+  test::FactFeed feed(auditor);
+  feed.submitted(3, 0.0);
+  feed.submitted(3, 1.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 3);
@@ -70,8 +77,9 @@ TEST(Lifecycle, ResubmitWhileQueuedIsIllegal) {
 
 TEST(Lifecycle, ShrinkFromQueuedNamesBothPhases) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(9, 0.0);
-  auditor.on_shrink_begun(9, 2.0);
+  test::FactFeed feed(auditor);
+  feed.submitted(9, 0.0);
+  feed.shrink_begun(9, 2.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 9);
@@ -81,10 +89,11 @@ TEST(Lifecycle, ShrinkFromQueuedNamesBothPhases) {
 
 TEST(Lifecycle, DoubleFinishIsIllegal) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(5, 0.0);
-  auditor.on_job_started(5, 1.0);
-  auditor.on_job_finished(5, 2.0);
-  auditor.on_job_finished(5, 3.0);
+  test::FactFeed feed(auditor);
+  feed.submitted(5, 0.0);
+  feed.started(5, 1.0);
+  feed.finished(5, 2.0);
+  feed.finished(5, 3.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 5);
@@ -94,9 +103,10 @@ TEST(Lifecycle, DoubleFinishIsIllegal) {
 
 TEST(Lifecycle, OneBadEdgeAdoptsAndDoesNotCascade) {
   chk::Auditor auditor;
-  auditor.on_job_started(11, 1.0);   // never submitted: one violation
-  auditor.on_job_resized(11, 2.0);   // now legally running
-  auditor.on_job_finished(11, 3.0);  // and legally finished
+  test::FactFeed feed(auditor);
+  feed.started(11, 1.0);   // never submitted: one violation
+  feed.resized(11, 2.0);   // now legally running
+  feed.finished(11, 3.0);  // and legally finished
   EXPECT_EQ(auditor.report().violations.size(), 1u);
 }
 
@@ -104,8 +114,9 @@ TEST(Lifecycle, OneBadEdgeAdoptsAndDoesNotCascade) {
 
 TEST(EventOrder, BehindTheClockIsAViolation) {
   chk::Auditor auditor;
-  auditor.on_event_dispatch(10.0, 0, 1, 0.0, 2);
-  auditor.on_event_dispatch(5.0, 0, 2, 10.0, 3);
+  test::FactFeed feed(auditor);
+  feed.dispatched(10.0, 0, 1, 0.0, 2);
+  feed.dispatched(5.0, 0, 2, 10.0, 3);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "event-order");
   EXPECT_DOUBLE_EQ(violation.sim_time, 10.0);
@@ -114,10 +125,11 @@ TEST(EventOrder, BehindTheClockIsAViolation) {
 
 TEST(EventOrder, CoexistingEventsMustDispatchInOrder) {
   chk::Auditor auditor;
+  test::FactFeed feed(auditor);
   // Both events queued (seqs 1 and 2, watermark 3) but the later tuple
   // pops first: a heap-ordering bug the auditor must catch.
-  auditor.on_event_dispatch(5.0, 1, 2, 0.0, 3);
-  auditor.on_event_dispatch(5.0, 0, 1, 5.0, 3);
+  feed.dispatched(5.0, 1, 2, 0.0, 3);
+  feed.dispatched(5.0, 0, 1, 5.0, 3);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "event-order");
   EXPECT_NE(violation.message.find("should have preceded"),
@@ -126,11 +138,12 @@ TEST(EventOrder, CoexistingEventsMustDispatchInOrder) {
 
 TEST(EventOrder, EventScheduledDuringCallbackMayLandAtSameInstant) {
   chk::Auditor auditor;
+  test::FactFeed feed(auditor);
   // seq 5 >= watermark 4: the second event did not coexist with the
   // first (a mid-callback arrival), so a lower lane at the same time is
   // legal.
-  auditor.on_event_dispatch(5.0, 1, 2, 0.0, 4);
-  auditor.on_event_dispatch(5.0, 0, 5, 5.0, 6);
+  feed.dispatched(5.0, 1, 2, 0.0, 4);
+  feed.dispatched(5.0, 0, 5, 5.0, 6);
   EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
 }
 
@@ -309,7 +322,8 @@ TEST(FederationIdentity, RekeyedJobLeavesItsMembersRange) {
 
 TEST(FederationIdentity, OutOfRangePlacementIsCaught) {
   chk::Auditor auditor;
-  auditor.on_placement(5, 1, fed::kClusterIdStride, 2.0);
+  test::FactFeed feed(auditor);
+  feed.placed(5, 1, 2.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "fed-id-range");
   EXPECT_EQ(violation.job, 5);
@@ -329,7 +343,8 @@ redist::Report clean_report() {
 
 TEST(ByteConservation, CleanReportPasses) {
   chk::Auditor auditor;
-  auditor.on_redist_report(clean_report(), 1024, 1.0);
+  test::FactFeed feed(auditor);
+  feed.redist(clean_report(), 1024, 1.0);
   EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
 }
 
@@ -338,13 +353,15 @@ TEST(ByteConservation, CheckpointMayMoveEveryByteTwice) {
   report.via_checkpoint = true;
   report.bytes_moved = 2048;  // write + read-back
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  test::FactFeed feed(auditor);
+  feed.redist(report, 1024, 1.0);
   EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
 }
 
 TEST(ByteConservation, UnaccountedBytesAreCaught) {
   chk::Auditor auditor;
-  auditor.on_redist_report(clean_report(), 4096, 6.0);
+  test::FactFeed feed(auditor);
+  feed.redist(clean_report(), 4096, 6.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "byte-conservation");
   EXPECT_DOUBLE_EQ(violation.sim_time, 6.0);
@@ -355,7 +372,8 @@ TEST(ByteConservation, MovingMoreThanTheTotalIsCaught) {
   redist::Report report = clean_report();
   report.bytes_moved = 2048;  // 2x without the checkpoint excuse
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  test::FactFeed feed(auditor);
+  feed.redist(report, 1024, 1.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "byte-conservation");
   EXPECT_NE(violation.message.find("moved"), std::string::npos);
@@ -365,7 +383,8 @@ TEST(ByteConservation, MovedBytesWithoutTransfersAreCaught) {
   redist::Report report = clean_report();
   report.transfers = 0;
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  test::FactFeed feed(auditor);
+  feed.redist(report, 1024, 1.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "byte-conservation");
   EXPECT_NE(violation.message.find("transfers"), std::string::npos);
@@ -376,7 +395,8 @@ TEST(ByteConservation, NanDurationAndZeroLanesAreCaught) {
   report.lanes = 0;
   report.seconds = std::numeric_limits<double>::quiet_NaN();
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  test::FactFeed feed(auditor);
+  feed.redist(report, 1024, 1.0);
   const chk::Report result = auditor.report();
   EXPECT_EQ(result.violations.size(), 2u) << result.describe();
 }
@@ -385,8 +405,9 @@ TEST(ByteConservation, NanDurationAndZeroLanesAreCaught) {
 
 TEST(Report, JsonCarriesChecksViolationsAndProvenance) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(1, 0.0);
-  auditor.on_job_started(2, 3.5);  // never submitted
+  test::FactFeed feed(auditor);
+  feed.submitted(1, 0.0);
+  feed.started(2, 3.5);  // never submitted
   const std::string json = auditor.report().json();
   EXPECT_NE(json.find("\"report\":\"chk\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"ok\":false"), std::string::npos) << json;
@@ -400,7 +421,8 @@ TEST(Report, JsonCarriesChecksViolationsAndProvenance) {
 
 TEST(Report, DescribeListsEachViolation) {
   chk::Auditor auditor;
-  auditor.on_job_started(2, 3.5);
+  test::FactFeed feed(auditor);
+  feed.started(2, 3.5);
   const std::string text = auditor.report().describe();
   EXPECT_NE(text.find("1 violation(s)"), std::string::npos) << text;
   EXPECT_NE(text.find("job-lifecycle"), std::string::npos) << text;
@@ -409,7 +431,8 @@ TEST(Report, DescribeListsEachViolation) {
 
 TEST(Report, ViolationCapCountsInsteadOfDropping) {
   chk::Auditor auditor(chk::Auditor::Options{.max_violations = 2});
-  for (JobId id = 1; id <= 5; ++id) auditor.on_job_started(id, 0.0);
+  test::FactFeed feed(auditor);
+  for (JobId id = 1; id <= 5; ++id) feed.started(id, 0.0);
   const chk::Report report = auditor.report();
   EXPECT_EQ(report.violations.size(), 2u);
   EXPECT_EQ(report.dropped_violations, 3);
@@ -420,8 +443,9 @@ TEST(Report, ViolationCapCountsInsteadOfDropping) {
 
 TEST(FailFast, ThrowsAuditErrorWithTheViolation) {
   chk::Auditor auditor(chk::Auditor::Options{.fail_fast = true});
+  test::FactFeed feed(auditor);
   try {
-    auditor.on_job_started(77, 8.5);
+    feed.started(77, 8.5);
     FAIL() << "expected AuditError";
   } catch (const chk::AuditError& error) {
     EXPECT_EQ(error.violation.invariant, "job-lifecycle");
@@ -434,13 +458,14 @@ TEST(FailFast, ThrowsAuditErrorWithTheViolation) {
 
 TEST(Auditor, ResetClearsStateAndCounts) {
   chk::Auditor auditor;
-  auditor.on_job_started(1, 0.0);
+  test::FactFeed feed(auditor);
+  feed.started(1, 0.0);
   ASSERT_FALSE(auditor.ok());
   auditor.reset();
   EXPECT_TRUE(auditor.ok());
   EXPECT_EQ(auditor.report().total_checks(), 0);
   // The DFA forgot the adopted phase: resubmitting id 1 is legal again.
-  auditor.on_job_submitted(1, 0.0);
+  feed.submitted(1, 0.0);
   EXPECT_TRUE(auditor.ok());
 }
 

@@ -1,8 +1,8 @@
 // Tests for the observability layer: the trace recorder's output
 // survives the strict validator (and tampered documents do not), ring
-// overflow is counted rather than silently truncated, the counter
-// registry stays in parity with the legacy per-subsystem counters, and
-// attaching tracing never perturbs simulated outcomes.
+// overflow is counted rather than silently truncated, the shared JSON
+// escaper round-trips every control byte, and attaching tracing never
+// perturbs simulated outcomes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include "dmr/observe.hpp"
 #include "dmr/service.hpp"
 #include "dmr/simulation.hpp"
+#include "fact_feed.hpp"
 
 namespace {
 
@@ -110,6 +111,32 @@ TEST(TraceRecorder, EscapesHostileNamesAndArgs) {
   const obs::TraceValidation validation =
       obs::validate_trace(trace.to_json());
   EXPECT_TRUE(validation.ok) << validation.describe();
+}
+
+TEST(JsonEscape, EveryControlByteQuoteAndBackslashRoundTrip) {
+  std::string hostile;
+  for (int c = 0x01; c <= 0x1f; ++c) hostile.push_back(static_cast<char>(c));
+  hostile += "\"\\ plain";
+
+  // The escaper alone, between quotes.
+  obs::JsonValue value;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json("\"" + obs::json_escape(hostile) + "\"", value,
+                              error))
+      << error;
+  EXPECT_EQ(value.text, hostile);
+
+  // Inside a written document: the attribution sidecar's job name.
+  obs::WaitAttributor attr;
+  test::FactFeed feed(attr);
+  feed.submitted(1, 0.0, hostile);
+  feed.started(1, 1.0);
+  obs::JsonValue sidecar;
+  ASSERT_TRUE(obs::parse_json(attr.to_json(), sidecar, error)) << error;
+  const obs::JsonValue* jobs = sidecar.field("jobs");
+  ASSERT_NE(jobs, nullptr);
+  ASSERT_EQ(jobs->items.size(), 1u);
+  EXPECT_EQ(obs::json_string(jobs->items[0].field("name")), hostile);
 }
 
 // --- tampered documents -----------------------------------------------------
@@ -223,71 +250,6 @@ TEST(TraceRecorder, AttachedObservabilityNeverPerturbsOutcomes) {
   }
 }
 
-// --- registry ---------------------------------------------------------------
-
-TEST(Registry, SetAddValueSnapshot) {
-  obs::Registry registry;
-  EXPECT_FALSE(registry.has("a"));
-  EXPECT_DOUBLE_EQ(registry.value("a"), 0.0);
-  registry.set("a", 2.0);
-  registry.add("a", 3.0);
-  registry.add("b.c", 1.5);
-  EXPECT_DOUBLE_EQ(registry.value("a"), 5.0);
-  EXPECT_TRUE(registry.has("b.c"));
-  EXPECT_EQ(registry.size(), 2u);
-  const auto snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "a");  // name-sorted
-  EXPECT_EQ(registry.snapshot_json(), "{\"a\":5,\"b.c\":1.500000}");
-}
-
-TEST(Registry, ParityWithLegacyCountersOnWorkloadRun) {
-  wl::FeitelsonParams params;
-  params.jobs = 30;
-  params.max_size = 16;
-  params.mean_interarrival = 10.0;
-  params.max_runtime = 60.0 * 5;
-  params.seed = 2017;
-  sim::Engine engine;
-  drv::DriverConfig config;
-  config.rms.nodes = 16;
-  drv::WorkloadDriver driver(engine, config);
-  for (const auto& job : wl::generate_feitelson(params)) {
-    drv::JobPlan plan;
-    plan.arrival = job.arrival;
-    plan.model = apps::fs_model(5, job.size, job.runtime / 5, 16,
-                                std::size_t(1) << 20);
-    plan.submit_nodes = job.size;
-    plan.flexible = true;
-    driver.add(std::move(plan));
-  }
-  const drv::WorkloadMetrics metrics = driver.run();
-  ASSERT_GT(metrics.expands + metrics.shrinks, 0);
-
-  obs::Registry registry;
-  driver.fill_counters(registry);
-  // The registry is a mirror, not a second source of truth: every entry
-  // must equal the legacy counter it absorbs.
-  EXPECT_EQ(registry.value("rms.expands"), double(metrics.expands));
-  EXPECT_EQ(registry.value("rms.shrinks"), double(metrics.shrinks));
-  EXPECT_EQ(registry.value("rms.checks"), double(metrics.checks));
-  EXPECT_EQ(registry.value("rms.aborted_expands"),
-            double(metrics.aborted_expands));
-  EXPECT_EQ(registry.value("rms.schedule.requests"),
-            double(metrics.schedule_requests));
-  EXPECT_EQ(registry.value("rms.schedule.passes"),
-            double(metrics.schedule_passes));
-  EXPECT_EQ(registry.value("rms.schedule.passes_saved"),
-            double(metrics.schedule_passes_saved));
-  EXPECT_EQ(registry.value("drv.completed"), double(driver.completed()));
-  EXPECT_EQ(registry.value("drv.redist.bytes"),
-            double(metrics.bytes_redistributed));
-  EXPECT_EQ(registry.value("fed.placements.local"), double(metrics.jobs));
-  // Refilling overwrites in place instead of double counting.
-  driver.fill_counters(registry);
-  EXPECT_EQ(registry.value("rms.expands"), double(metrics.expands));
-}
-
 // --- lifecycle stream -------------------------------------------------------
 
 /// Logs "<name>:<fact>" for the facts it declared.
@@ -352,12 +314,19 @@ TEST(LifecycleStream, SingleMemberFastPathEmitsPlaced) {
 
 TEST(Profiler, ReportFoldsAccumulatorsAndRss) {
   obs::Profiler profiler;
-  profiler.add_events(1000);
-  profiler.on_event();
-  profiler.add_schedule(0.25);
-  profiler.add_schedule(0.25);
-  profiler.add_placement(0.1);
-  profiler.add_redist(0.4);
+  test::FactFeed feed(profiler);
+  for (int i = 0; i < 1001; ++i) {
+    feed.dispatched(0.0, 0, static_cast<std::uint64_t>(i), 0.0, 0);
+  }
+  feed.schedule_pass(0.25);
+  feed.schedule_pass(0.25);
+  feed.placed(1, 0, 0.0, 0.1);
+  redist::Report measured;
+  measured.seconds = 0.4;
+  feed.redist(measured, 0, 0.0);
+  redist::Report modeled;  // simulated seconds: not wall time
+  modeled.seconds = 30.0;
+  feed.redist(modeled, 0, 0.0, /*simulated=*/true);
   const obs::ProfileReport report = profiler.report(2.0, 10);
   EXPECT_EQ(report.events, 1001u);
   EXPECT_DOUBLE_EQ(report.events_per_second, 1001.0 / 2.0);
@@ -393,7 +362,7 @@ TEST(BuildInfo, ProvenanceFieldsAreRenderable) {
 
 // --- service surface --------------------------------------------------------
 
-TEST(ServiceCounters, RegistryAndSamplesExposeIngestTallies) {
+TEST(ServiceCounters, SamplesExposeIngestTallies) {
   svc::ServiceConfig config;
   config.driver.rms.nodes = 16;
   config.sample_period = 30.0;
@@ -413,23 +382,19 @@ TEST(ServiceCounters, RegistryAndSamplesExposeIngestTallies) {
   }
   ASSERT_TRUE(service.drain(1.0e6));
 
-  const obs::Registry& counters = service.counters();
-  EXPECT_EQ(counters.value("svc.accepted"), double(service.accepted()));
-  EXPECT_EQ(counters.value("svc.rejected_stale"),
-            double(service.rejected_stale()));
-  EXPECT_EQ(counters.value("svc.ring.rejected_full"),
-            double(service.queue().rejected_full()));
-  EXPECT_EQ(counters.value("drv.completed"), double(service.completed()));
-  EXPECT_EQ(counters.value("svc.samples"),
-            double(service.sample_records().size()));
+  EXPECT_EQ(service.accepted(), 6);
+  EXPECT_EQ(service.completed(), 6);
 
-  // Samples mirror the registry's cumulative ring-overflow counter and
-  // surface it in their JSON line.
+  // Samples carry the cumulative ingest tallies, read where they live,
+  // and surface them in their JSON line.
   ASSERT_FALSE(service.sample_records().empty());
   const svc::MetricsSample& last = service.sample_records().back();
-  EXPECT_EQ(last.rejected_full_cum,
+  EXPECT_EQ(last.submitted_total, service.accepted());
+  EXPECT_EQ(last.rejected_stale_total, service.rejected_stale());
+  EXPECT_EQ(last.rejected_full_total,
             static_cast<long long>(service.queue().rejected_full()));
-  EXPECT_NE(service.sample_lines().back().find("\"rejected_full_cum\":"),
+  EXPECT_EQ(service.sample_lines().size(), service.sample_records().size());
+  EXPECT_NE(service.sample_lines().back().find("\"rejected_full_total\":"),
             std::string::npos);
 }
 
