@@ -22,17 +22,19 @@
 //   archive    replay a seeded Feitelson SWF trace (100k rigid jobs on
 //              1024 nodes by default — the make_swf | swf_replay path,
 //              in memory) instead of fig10: the event-engine stress
-//              workload, >1M calendar-queue events per run.  The
+//              workload, 100k up-front arrivals and ~3 calendar-queue
+//              events per job (arrival, start, one span).  The
 //              profiled run attaches the Profiler only — recording a
 //              million-event timeline would dominate peak RSS.
-//   smoke      CI mode: a small scaled-down workload, plus a loose
-//              assertion that the detached-run spread stays under 25%
-//              (generous — smoke runs are milliseconds and noisy; the
-//              real <= 2% claim is checked on full runs by inspection)
+//   smoke      CI mode: a small workload (512 fig10 jobs, or 10000
+//              archive jobs), plus a loose assertion that the
+//              detached-run spread stays under 25% (generous — smoke
+//              runs are tens of milliseconds and noisy; the real <= 2%
+//              claim is checked on full runs by inspection)
 //   jobs=N     jobs in the workload (default 50, the paper's Section IX;
 //              archive default 100000)
 //   scale=F    iteration_scale: fraction of Table I iteration counts
-//              (default 1.0; smoke forces a small value; fig10 only)
+//              (default 1.0; fig10 only)
 //   seed=N     workload seed (default 2017; archive default 1)
 //   repeat=N   measured repetitions appended as separate rows (default 2,
 //              so one invocation seeds BENCH_engine.json with a
@@ -156,8 +158,9 @@ int main(int argc, char** argv) {
     // Sized so the measured section stays in the tens-of-milliseconds
     // band: below that the 25% spread gate trips on scheduler jitter
     // alone.  Re-check whenever the engine gets materially faster.
-    options.jobs = options.archive ? 5000 : 128;
-    options.scale = 0.2;
+    // (4-vCPU host: 35-55 ms fig10, ~28 ms archive per detached run.)
+    options.jobs = options.archive ? 10000 : 512;
+    options.scale = 1.0;
     options.repeat = 1;
   }
   if ((options.jobs <= 0 && options.jobs != -1) || options.scale <= 0.0 ||
@@ -237,6 +240,15 @@ int main(int argc, char** argv) {
             ? (profiled.wall / std::min(baseline.wall, rerun.wall) - 1.0) *
                   100.0
             : 0.0;
+    // Reconfiguring points answered vs swallowed by the inhibitor, and
+    // engine events per job (a swallowed point costs no event).
+    const drv::WorkloadMetrics& m = baseline.metrics;
+    const std::string check_fields =
+        "\"checks\":" + std::to_string(m.checks) +
+        ",\"inhibited_checks\":" + std::to_string(m.inhibited_checks) +
+        ",\"events_per_job\":" +
+        std::to_string(m.jobs > 0 ? static_cast<double>(m.events) / m.jobs
+                                  : 0.0);
     // The ProfileReport fields carry "jobs"/"wall_seconds"; this prefix
     // adds the workload parameters and the overhead measurements.
     const unsigned long long seed_out =
@@ -246,20 +258,21 @@ int main(int argc, char** argv) {
         "\"iteration_scale\":%.4f,\"seed\":%llu,"
         "\"baseline_wall_seconds\":%.6f,\"rerun_wall_seconds\":%.6f,"
         "\"noise_floor_pct\":%.2f,\"traced_overhead_pct\":%.2f,"
-        "\"trace_events\":%zu,\"trace_dropped\":%llu,%s,%s}\n",
+        "\"trace_events\":%zu,\"trace_dropped\":%llu,%s,%s,%s}\n",
         workload_name, rep, options.scale, seed_out, baseline.wall,
         rerun.wall, noise_floor, traced_overhead, trace.recorded(),
         static_cast<unsigned long long>(trace.dropped()),
-        report.json_fields().c_str(),
+        check_fields.c_str(), report.json_fields().c_str(),
         dmr::bench_provenance_fields(1).c_str());
     if (append != nullptr) {
       std::fprintf(append,
                    "{\"bench\":\"engine\",\"workload\":\"%s\","
                    "\"iteration_scale\":%.4f,\"seed\":%llu,"
                    "\"noise_floor_pct\":%.2f,\"traced_overhead_pct\":%.2f,"
-                   "%s,%s}\n",
+                   "%s,%s,%s}\n",
                    workload_name, options.scale, seed_out, noise_floor,
-                   traced_overhead, report.json_fields().c_str(),
+                   traced_overhead, check_fields.c_str(),
+                   report.json_fields().c_str(),
                    dmr::bench_provenance_fields(1).c_str());
     }
 

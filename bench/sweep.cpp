@@ -67,6 +67,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -392,6 +393,11 @@ std::string run_scenario(const Scenario& scenario, obs::Hooks hooks,
       << ",\"execution_mean\":" << metrics.execution.mean
       << ",\"expands\":" << metrics.expands
       << ",\"shrinks\":" << metrics.shrinks << ",\"checks\":" << metrics.checks
+      << ",\"inhibited_checks\":" << metrics.inhibited_checks
+      << ",\"events_per_job\":"
+      << (metrics.jobs > 0
+              ? static_cast<double>(metrics.events) / metrics.jobs
+              : 0.0)
       << ",\"aborted_expands\":" << metrics.aborted_expands
       << ",\"bytes_redistributed\":" << metrics.bytes_redistributed
       << ",\"redistribution_seconds\":" << metrics.redistribution_seconds
@@ -703,19 +709,22 @@ int main(int argc, char** argv) {
       options.clusters > 1
           ? 1
           : static_cast<int>(std::end(kVariants) - std::begin(kVariants));
-  char summary[768];
-  std::snprintf(
-      summary, sizeof(summary),
-      "{\"bench\":\"sweep\",\"summary\":true,\"scenarios\":%zu,"
-      "\"clusters\":%d,\"members\":\"%s\","
-      "\"jobs_per_trace\":%d,\"policies\":%d,\"variants\":%d,"
-      "\"wall_seconds\":%.3f,\"cells_per_second\":%.2f,%s}",
-      scenarios.size(), options.clusters,
-      obs::json_escape(options.members).c_str(), options.jobs,
-      policy_count, variant_count, wall,
-      wall > 0.0 ? static_cast<double>(scenarios.size()) / wall : 0.0,
-      bench_provenance_fields(worker_count).c_str());
-  std::printf("%s\n", summary);
+  // Built as a string: the --members spec has no length bound.
+  std::ostringstream summary_out;
+  summary_out << std::fixed
+              << "{\"bench\":\"sweep\",\"summary\":true,\"scenarios\":"
+              << scenarios.size() << ",\"clusters\":" << options.clusters
+              << ",\"members\":\"" << obs::json_escape(options.members)
+              << "\",\"jobs_per_trace\":" << options.jobs
+              << ",\"policies\":" << policy_count
+              << ",\"variants\":" << variant_count
+              << ",\"wall_seconds\":" << std::setprecision(3) << wall
+              << ",\"cells_per_second\":" << std::setprecision(2)
+              << (wall > 0.0 ? static_cast<double>(scenarios.size()) / wall
+                             : 0.0)
+              << "," << bench_provenance_fields(worker_count) << "}";
+  const std::string summary = summary_out.str();
+  std::printf("%s\n", summary.c_str());
   if (!options.append_json.empty()) {
     // Accumulate the perf trajectory: one summary line per run, appended
     // so successive PRs can plot cells/sec over time (BENCH_sweep.json).
@@ -725,7 +734,7 @@ int main(int argc, char** argv) {
                    options.append_json.c_str());
       return 1;
     }
-    std::fprintf(file, "%s\n", summary);
+    std::fprintf(file, "%s\n", summary.c_str());
     std::fclose(file);
   }
   if (!options.engine_json.empty()) {

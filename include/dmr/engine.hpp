@@ -59,6 +59,10 @@ class ReconfigEngine {
   void reset_inhibitor();
   void set_inhibitor_period(double period);
   double inhibitor_period() const;
+  /// A copy of the inhibitor's current window, for side-effect-free
+  /// look-ahead (Inhibitor::would_allow) without taking the engine lock
+  /// per query.
+  Inhibitor inhibitor() const;
 
   /// Observer fired (outside the engine lock) for every recorded
   /// redistribution report — the calibration tap: hosts typically bind

@@ -19,13 +19,20 @@ class Inhibitor {
   double period() const { return period_; }
   void set_period(double period) { period_ = period; }
 
+  /// Whether a check at `now` would be allowed, without arming the
+  /// window: the side-effect-free look-ahead of allow().
+  bool would_allow(double now) const {
+    return period_ <= 0.0 || !(armed_ && now - last_ < period_);
+  }
+
   /// Returns true when a check at `now` is allowed; a granted check arms
   /// the inhibition window.
   bool allow(double now) {
-    if (period_ <= 0.0) return true;
-    if (armed_ && now - last_ < period_) return false;
-    armed_ = true;
-    last_ = now;
+    if (!would_allow(now)) return false;
+    if (period_ > 0.0) {
+      armed_ = true;
+      last_ = now;
+    }
     return true;
   }
 

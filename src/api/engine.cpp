@@ -114,4 +114,9 @@ double ReconfigEngine::inhibitor_period() const {
   return inhibitor_.period();
 }
 
+Inhibitor ReconfigEngine::inhibitor() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return inhibitor_;
+}
+
 }  // namespace dmr

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
 
 #include "dmr/build_info.hpp"
 #include "fed/federation.hpp"
@@ -179,37 +178,43 @@ void Auditor::finished(const obs::JobFact& f) {
   it->second = Phase::Done;
 }
 
+namespace {
+
+std::string describe(const obs::EventKey& key) {
+  std::ostringstream out;
+  out << "(t=" << key.time << ", lane=" << key.lane;
+  out << ", origin=" << key.origin;
+  out << ", " << (key.late ? "late" : "early") << " root=" << key.root;
+  out << ", root_seq=" << key.root_seq << ", seq=" << key.seq << ")";
+  return out.str();
+}
+
+}  // namespace
+
 void Auditor::dispatched(const obs::DispatchFact& f) {
-  const auto [time, lane, seq, clock, seq_watermark] = f;
   const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.event_dispatches;
-  if (time < clock) {
+  if (f.key.time < f.clock) {
     std::ostringstream msg;
-    msg << "event (t=" << time << ", lane=" << lane << ", seq=" << seq
-        << ") dispatched behind the clock " << clock;
-    violate("event-order", ::dmr::kInvalidJob, clock, msg.str());
+    msg << "event " << describe(f.key) << " dispatched behind the clock "
+        << f.clock;
+    violate("event-order", ::dmr::kInvalidJob, f.clock, msg.str());
   }
   // Order is only enforceable between events that coexisted in the
   // queue: this event was already queued when the previous one popped
   // iff its seq is below the watermark recorded at that pop.  (An event
   // scheduled *during* the previous callback may legally land at the
   // same instant in a lower lane — mid-run arrivals do exactly this.)
-  if (has_last_event_ && seq < last_watermark_) {
-    const bool ordered = std::tie(last_time_, last_lane_, last_seq_) <=
-                         std::tie(time, lane, seq);
-    if (!ordered) {
-      std::ostringstream msg;
-      msg << "event (t=" << time << ", lane=" << lane << ", seq=" << seq
-          << ") dispatched after (t=" << last_time_ << ", lane=" << last_lane_
-          << ", seq=" << last_seq_ << ") it should have preceded";
-      violate("event-order", ::dmr::kInvalidJob, clock, msg.str());
-    }
+  if (has_last_event_ && f.key.seq < last_watermark_ &&
+      obs::precedes(f.key, last_key_)) {
+    std::ostringstream msg;
+    msg << "event " << describe(f.key) << " dispatched after "
+        << describe(last_key_) << " it should have preceded";
+    violate("event-order", ::dmr::kInvalidJob, f.clock, msg.str());
   }
   has_last_event_ = true;
-  last_time_ = time;
-  last_lane_ = lane;
-  last_seq_ = seq;
-  last_watermark_ = seq_watermark;
+  last_key_ = f.key;
+  last_watermark_ = f.watermark;
 }
 
 void Auditor::placed(const obs::PlaceFact& f) {
@@ -374,9 +379,7 @@ void Auditor::reset() {
   report_ = Report{};
   phases_.clear();
   has_last_event_ = false;
-  last_time_ = 0.0;
-  last_lane_ = 0;
-  last_seq_ = 0;
+  last_key_ = obs::EventKey{};
   last_watermark_ = 0;
 }
 

@@ -17,7 +17,7 @@
 //    cluster's owner table exactly;
 //  - event-queue ordering in sim::Engine: the clock never moves
 //    backwards, and two events that coexisted in the queue dispatch in
-//    (time, lane, seq) order;
+//    the engine's key order (obs::precedes);
 //  - federation identity: every member's job ids stay inside its
 //    disjoint kClusterIdStride range and route back to the member that
 //    placed them;
@@ -135,7 +135,7 @@ class Auditor : public obs::Sink {
   void placed(const obs::PlaceFact& f) override;
   /// Event ordering: the clock never moves backwards, and events that
   /// coexisted in the queue (seq below the previous pop's watermark)
-  /// dispatch in (time, lane, seq) order.
+  /// dispatch in the engine's key order (obs::precedes).
   void dispatched(const obs::DispatchFact& f) override;
   /// Byte conservation: the report accounts for exactly the registered
   /// bytes (modeled reports pass their own total).
@@ -179,9 +179,7 @@ class Auditor : public obs::Sink {
 
   // Last dispatched event, for the ordering check.
   bool has_last_event_ = false;
-  double last_time_ = 0.0;
-  int last_lane_ = 0;
-  std::uint64_t last_seq_ = 0;
+  obs::EventKey last_key_{};
   std::uint64_t last_watermark_ = 0;
 };
 

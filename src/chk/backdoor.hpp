@@ -52,16 +52,24 @@ struct TestBackdoor {
     manager.job_mutable(old_id).id = new_id;
   }
 
-  /// Push a raw (time, lane, seq) entry into the engine queue, bypassing
-  /// schedule_at's monotonicity guard (the time-travel corruption).  The
+  /// Push an entry with an arbitrary key into the engine queue, bypassing
+  /// the schedule_* guards (the time-travel corruption).  Every key field
+  /// is set by name, so a layout change cannot shift them silently.  The
   /// entry carries a fresh slot with a no-op callback so step() fires it.
-  static void push_raw_event(sim::Engine& engine, double time, sim::Lane lane,
-                             std::uint64_t seq) {
+  static void push_raw_event(sim::Engine& engine, const obs::EventKey& key) {
     const std::uint32_t slot = engine.allocate_slot();
     engine.slot_callback(slot).emplace([] {});
-    engine.insert_entry(sim::Engine::Entry{
-        time, sim::Engine::pack_lane_seq(lane, seq), slot,
-        engine.gens_[slot]});
+    sim::Engine::Entry entry{};
+    entry.time = key.time;
+    entry.origin = key.origin;
+    entry.root = key.root;
+    entry.lane_seq =
+        sim::Engine::pack_lane_seq(static_cast<sim::Lane>(key.lane), key.seq) |
+        (key.late ? sim::Engine::kLateBit : 0);
+    entry.root_seq = key.root_seq;
+    entry.slot = slot;
+    entry.gen = engine.gens_[slot];
+    engine.insert_entry(entry);
     ++engine.live_count_;
   }
 };

@@ -2,6 +2,7 @@
 // series of Figs. 4-6 and 12.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,13 @@ struct WorkloadMetrics {
   long long expands = 0;
   long long shrinks = 0;
   long long checks = 0;
+  /// Reconfiguring points the checking inhibitor swallowed (the RMS was
+  /// never contacted); checks + inhibited_checks is every point reached.
+  long long inhibited_checks = 0;
   long long aborted_expands = 0;
+  /// Engine events dispatched so far (on an engine shared with other
+  /// drivers, theirs count too).
+  std::uint64_t events = 0;
   /// Incremental-scheduling telemetry: schedule() invocations, the
   /// passes that actually ran, and the passes avoided relative to the
   /// former run-on-every-mutation design.

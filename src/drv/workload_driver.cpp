@@ -192,32 +192,43 @@ void WorkloadDriver::proceed_after_check(Exec& exec, double delay) {
 }
 
 void WorkloadDriver::schedule_step(Exec& exec) {
-  if (exec.rigid_step_seconds > 0.0) {
-    // Rigid job: allocation and gating speed are fixed for its lifetime,
-    // so the duration computed at start is exact for every step.
-    engine_.schedule_after(exec.rigid_step_seconds,
-                           [this, &exec] { finish_step(exec); });
-    return;
-  }
   const rms::Job& job = federation_.job(exec.id);
   // Synchronous iterations: the slowest node in the allocation gates the
-  // step (speed 1.0 everywhere on a homogeneous cluster).
+  // step (speed 1.0 everywhere on a homogeneous cluster).  Only a
+  // reconfiguring point changes the allocation, so the duration holds
+  // for the whole span.
   const double speed = federation_.cluster_for(exec.id).min_speed(job.nodes);
   const double duration =
       exec.plan.model.step_seconds(job.allocated()) / speed;
-  if (!exec.plan.flexible) exec.rigid_step_seconds = duration;
-  engine_.schedule_after(duration, [this, &exec] { finish_step(exec); });
+  // The span runs to the job's finish or to the first step end whose
+  // reconfiguring point the inhibitor lets through; the points in
+  // between change no state.  One `t += duration` per step, as one
+  // event per step would compute it, keeps every instant bit-identical,
+  // and the engine queues the landing as the last link of a chain of
+  // steps, so same-instant ties order as the per-step events would.
+  std::optional<::dmr::Inhibitor> gate;
+  if (exec.plan.flexible) gate = exec.engine->inhibitor();
+  double last_start = engine_.now();
+  double t = last_start;
+  int steps = 0;
+  do {
+    last_start = t;
+    t += duration;
+    ++steps;
+  } while (steps < exec.steps_left && !(gate && gate->would_allow(t)));
+  exec.span_steps = steps;
+  engine_.schedule_span(last_start, duration,
+                        [this, &exec] { finish_span(exec); });
 }
 
-void WorkloadDriver::finish_step(Exec& exec) {
-  --exec.steps_left;
+void WorkloadDriver::finish_span(Exec& exec) {
+  exec.steps_left -= exec.span_steps;
+  if (exec.plan.flexible) inhibited_checks_ += exec.span_steps - 1;
   if (exec.steps_left <= 0) {
     exec.session->finish();
     return;
   }
-  double delay = 0.0;
-  if (exec.plan.flexible) delay = reconfiguring_point(exec);
-  proceed_after_check(exec, delay);
+  proceed_after_check(exec, reconfiguring_point(exec));
 }
 
 double WorkloadDriver::apply_outcome(Exec& exec, rms::DmrOutcome& outcome) {
@@ -364,7 +375,9 @@ WorkloadMetrics WorkloadDriver::collect_metrics() const {
   metrics.expands = counters.expands;
   metrics.shrinks = counters.shrinks;
   metrics.checks = counters.checks;
+  metrics.inhibited_checks = inhibited_checks_;
   metrics.aborted_expands = counters.aborted_expands;
+  metrics.events = engine_.executed();
   metrics.schedule_requests = counters.schedule_requests;
   metrics.schedule_passes = counters.schedule_passes;
   metrics.schedule_passes_saved = counters.schedule_passes_saved;

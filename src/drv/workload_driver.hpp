@@ -1,11 +1,20 @@
 // Virtual-time workload driver: runs a whole workload (fixed, flexible or
 // mixed) through the resource manager on the discrete-event engine.
 //
-// Each job executes its application model step by step; flexible jobs
-// call the DMR reconfiguring point between steps (through the same
-// Manager policy/protocol code the real-mode runtime uses), pay the
-// modeled redistribution cost, and continue at the granted size.  This is
-// the machinery behind Figs. 3-12 and Table II.
+// Each job executes its application model in spans of steps, one engine
+// event per span.  A span ends at the job's finish or at the first step
+// end whose reconfiguring point the checking inhibitor lets through (a
+// rigid job is one span).  There a flexible job calls the DMR
+// reconfiguring point (through the same Manager policy/protocol code the
+// real-mode runtime uses), pays the modeled redistribution cost, and
+// continues at the granted size.  The points the inhibitor swallows
+// inside a span change no state, so they cost no event: span ends are
+// computed with the same per-step `t += duration` additions a
+// step-by-step run makes, so every instant is bit-identical; the landing
+// is queued with sim::Engine::schedule_span, so same-instant ties fall as
+// the per-step events' did; and WorkloadMetrics::inhibited_checks counts
+// the swallowed points.  This is the machinery behind Figs. 3-12 and
+// Table II.
 //
 // The driver talks to a fed::Federation — one member cluster by default
 // (built from DriverConfig::rms, behaviourally identical to driving the
@@ -141,12 +150,10 @@ class WorkloadDriver : private obs::Sink {
     JobPlan plan;
     rms::JobId id = rms::kInvalidJob;
     int steps_left = 0;
+    /// Steps covered by the pending span event.
+    int span_steps = 0;
     /// Arrival event already scheduled (submit_at feeds; run() skips).
     bool scheduled = false;
-    /// Fixed step duration of a non-flexible job, computed once at start
-    /// (a rigid allocation never changes, so neither does the gating
-    /// speed).  0 = not cached (flexible job; recompute every step).
-    double rigid_step_seconds = 0.0;
     /// Constructed in place at submission (no per-job heap allocation).
     std::optional<::dmr::Session> session;
     /// Reconfiguring-point protocol state — only a flexible job ever
@@ -169,8 +176,11 @@ class WorkloadDriver : private obs::Sink {
   /// Continue after a reconfiguring point: pay `delay`, finish a pending
   /// shrink, then run the next step.
   void proceed_after_check(Exec& exec, double delay);
+  /// Schedule one event for the span of steps from now to the job's
+  /// finish or its next reconfiguring point the inhibitor lets through.
   void schedule_step(Exec& exec);
-  void finish_step(Exec& exec);
+  /// The span's last step ended: finish, or run the reconfiguring point.
+  void finish_span(Exec& exec);
   /// Runs the reconfiguring point; returns the delay before the next
   /// step may start (0 when no action).
   double reconfiguring_point(Exec& exec);
@@ -204,6 +214,8 @@ class WorkloadDriver : private obs::Sink {
   /// runs on every job start/end.
   std::unordered_map<rms::JobId, Exec*> by_id_;
   int completed_ = 0;
+  /// Reconfiguring points the inhibitor swallowed inside landed spans.
+  long long inhibited_checks_ = 0;
   /// Workload-wide data-movement totals (from the modeled Reports).
   std::size_t bytes_redistributed_ = 0;
   double redistribution_seconds_ = 0.0;

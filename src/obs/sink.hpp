@@ -88,13 +88,37 @@ struct AllocFact {
   int running;
 };
 
+/// An event's position in sim::Engine's total order (the ordering note
+/// at the top of sim/engine.hpp defines each field).  Events fire in
+/// (time, lane, origin, chain, seq) order, where the chain part is
+/// (late, root, root_seq): early chains first, by descending root, then
+/// late chains by ascending root, then root_seq.
+struct EventKey {
+  double time;
+  int lane;
+  double origin;
+  bool late;
+  double root;
+  std::uint64_t root_seq;
+  std::uint64_t seq;
+};
+
+/// Strictly-before in the engine's order.
+inline bool precedes(const EventKey& a, const EventKey& b) {
+  if (a.time != b.time) return a.time < b.time;
+  if (a.lane != b.lane) return a.lane < b.lane;
+  if (a.origin != b.origin) return a.origin < b.origin;
+  if (a.late != b.late) return b.late;
+  if (a.root != b.root) return a.late ? a.root < b.root : a.root > b.root;
+  if (a.root_seq != b.root_seq) return a.root_seq < b.root_seq;
+  return a.seq < b.seq;
+}
+
 /// An event leaving the engine queue: `clock` is the engine time before
 /// it advances, `watermark` the next sequence number (events that
 /// coexisted in the queue have lower ones).
 struct DispatchFact {
-  double time;
-  int lane;
-  std::uint64_t seq;
+  EventKey key;
   double clock;
   std::uint64_t watermark;
 };

@@ -46,7 +46,8 @@ void Engine::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventId Engine::schedule_slot(SimTime at, Lane lane) {
+EventId Engine::schedule_slot(SimTime origin, SimTime at, SimTime step,
+                              Lane lane) {
   // !(at >= now_) also rejects NaN instead of queueing an unorderable
   // entry.
   if (!(at >= now_)) {
@@ -54,7 +55,26 @@ EventId Engine::schedule_slot(SimTime at, Lane lane) {
   }
   const std::uint32_t slot = allocate_slot();
   const std::uint32_t gen = gens_[slot];
-  insert_entry(Entry{at, pack_lane_seq(lane, next_seq_++), slot, gen});
+  const std::uint64_t seq = next_seq_++;
+  Entry entry{at, origin, now_, pack_lane_seq(lane, seq), seq, slot, gen};
+  // Chain position (see the ordering note in the header).  Outside any
+  // dispatch at this instant the new chain is rooted before all of them:
+  // early, with the freshest root_seq.
+  const Entry& by = dispatching_;
+  if (by.time == now_) {
+    const int by_lane = lane_of(by);
+    const int own_lane = static_cast<int>(lane);
+    const SimTime by_next = by.origin + step;
+    if (step > 0.0 && by_lane == own_lane && by_next == now_) {
+      // The dispatch is a link of a same-step chain: continue it.
+      entry.root = by.root;
+      entry.root_seq = by.root_seq;
+      entry.lane_seq |= by.lane_seq & kLateBit;
+    } else if (by_lane != own_lane ? by_lane > own_lane : by_next > now_) {
+      entry.lane_seq |= kLateBit;
+    }
+  }
+  insert_entry(entry);
   ++live_count_;
   return (static_cast<EventId>(slot) << 32) | gen;
 }
@@ -297,17 +317,20 @@ bool Engine::cancel(EventId id) {
 
 bool Engine::step() {
   if (!settle_front()) return false;
+  // A copy: a callback that steps the engine itself moves dispatching_.
   const Entry entry = active_.back();
+  dispatching_ = entry;
   active_.pop_back();
   --size_;
   if (stream_.wants(obs::kDispatched)) {
     // Report against the pre-advance clock; next_seq_ is the watermark
     // separating events that coexisted in the queue from ones the
     // upcoming callback will schedule.
-    const auto lane = static_cast<int>(entry.lane_seq >> kSeqBits);
+    const obs::EventKey key{entry.time, lane_of(entry), entry.origin,
+                            (entry.lane_seq & kLateBit) != 0, entry.root,
+                            entry.root_seq, entry.lane_seq & kSeqMask};
     stream_.emit(obs::kDispatched, &obs::Sink::dispatched,
-                 obs::DispatchFact{entry.time, lane, entry.lane_seq & kSeqMask,
-                                   now_, next_seq_});
+                 obs::DispatchFact{key, now_, next_seq_});
   }
   now_ = entry.time;
   detail::InlineCallback& callback = slot_callback(entry.slot);

@@ -1,9 +1,42 @@
 // Discrete-event simulation engine.
 //
 // The workload-scale experiments (Figs. 3-12, Table II) run the resource
-// manager and hundreds of jobs in virtual time on this engine.  Events are
-// ordered by (time, lane, sequence) so same-instant events fire in a
-// deterministic order, which keeps runs bit-reproducible.
+// manager and hundreds of jobs in virtual time on this engine.  Events at
+// one instant fire in a deterministic order, which keeps runs
+// bit-reproducible: by lane, then in the order they were scheduled.
+//
+// Same-instant order.  An event scheduled while event E dispatches at
+// instant x ranks among its same-(time, lane) peers as E ranked among
+// the dispatches at x, and after anything scheduled before x; a plain
+// sequence counter gives exactly that.  schedule_span() is the exception:
+// it queues only the *last* event of a chain of `step`-long links (the
+// workload driver's application iterations) and skips the links in
+// between, so their dispatches never reach the counter.  The key keeps
+// enough of them to rebuild the order:
+//
+//  - `origin`: when the event notionally was scheduled — the clock for
+//    a plain event, the last link's start for a span.
+//  - the chain position (late, root, root_seq).  A chain is rooted at
+//    the dispatch that scheduled its first link, at instant `root`,
+//    with the fresh sequence number `root_seq`.  At `root` that dispatch
+//    precedes ("early") or follows ("late") the links of any other
+//    same-step chain passing through `root`: it is early when it runs in
+//    a lower lane, or in the same lane but was scheduled before
+//    root - step.  A dispatch that *is* such a link (same lane,
+//    scheduled exactly `step` > 0 earlier) does not root a chain: what
+//    it schedules with that step continues its chain and inherits its
+//    position.  Walking two same-origin chains back link by link then
+//    gives: early before late, early chains by descending root, late
+//    chains by ascending root, then root_seq.  A plain event is a chain
+//    of one link (its delay is the step), so plain events keep the
+//    counter order.  Scheduling between dispatches counts as part of
+//    the last dispatch at the current instant; before any, as early.
+//  - `seq`, last: the counter, which orders what one dispatch scheduled.
+//
+// That reproduces a one-event-per-link engine's order, with one residual
+// case from rounding: two chains whose links drift apart (one passes
+// 3.0000000000000004 where the other is rooted at 3) yet land on the
+// same instant are compared as if their links had coincided.
 //
 // Lanes make that order *canonical* across different scheduling
 // histories: a submission arrival scheduled up front (batch replay) and
@@ -20,13 +53,13 @@
 //    events beyond it.  The day under the cursor is drained through a
 //    sorted `active_` vector (descending, popped from the back); future
 //    days hold unsorted entries that are sorted once, when their day
-//    arrives.  Total order is exactly the old (time, lane, seq) heap
-//    order — the layout is invisible to outcomes.
+//    arrives.  Total order is exactly the key above — the layout is
+//    invisible to outcomes.
 //
 //  - Event identity is a generation-tagged slot: EventId packs
 //    (slot index, generation), so schedule/cancel/pending/dispatch are
 //    array lookups with zero hashing.  Cancelling reclaims the slot and
-//    its callback storage eagerly; a stale 24-byte queue entry remains
+//    its callback storage eagerly; a stale 48-byte queue entry remains
 //    until its day is reached or a sweep collects it.
 //
 //  - Callbacks live in a small-buffer inline type (detail::InlineCallback)
@@ -147,7 +180,7 @@ class Engine {
   /// handle usable with cancel().
   template <typename F>
   EventId schedule_at(SimTime at, F&& fn, Lane lane = Lane::Normal) {
-    const EventId id = schedule_slot(at, lane);
+    const EventId id = schedule_slot(now_, at, at - now_, lane);
     slot_callback(slot_of(id)).emplace(std::forward<F>(fn));
     return id;
   }
@@ -158,7 +191,28 @@ class Engine {
     if (delay < 0.0) {
       throw std::invalid_argument("Engine::schedule_after: negative delay");
     }
-    return schedule_at(now_ + delay, std::forward<F>(fn), lane);
+    const EventId id = schedule_slot(now_, now_ + delay, delay, lane);
+    slot_callback(slot_of(id)).emplace(std::forward<F>(fn));
+    return id;
+  }
+
+  /// Schedule `fn` at `last_start + step` as the last link of a chain of
+  /// `step`-long links that starts now (now <= last_start): it fires
+  /// where that chain's last event would if every link had been its own
+  /// event (see the ordering note at the top of the file), in the
+  /// Normal lane.  The workload driver queues a span of application
+  /// steps this way.
+  template <typename F>
+  EventId schedule_span(SimTime last_start, SimTime step, F&& fn) {
+    if (!(last_start >= now_) || !(step >= 0.0)) {
+      throw std::invalid_argument(
+          "Engine::schedule_span: last link starts in the past or has a "
+          "negative step");
+    }
+    const EventId id =
+        schedule_slot(last_start, last_start + step, step, Lane::Normal);
+    slot_callback(slot_of(id)).emplace(std::forward<F>(fn));
+    return id;
   }
 
   /// Cancel a pending event.  Returns false when the event already fired,
@@ -215,24 +269,38 @@ class Engine {
   /// Test-only state corruption for the invariant checker's tests.
   friend struct ::dmr::chk::TestBackdoor;
 
-  /// One queued occurrence of an event: 24 bytes, trivially copyable.
-  /// (lane, seq) are packed so one integer compare gives their order.
+  /// One queued occurrence of an event: 48 bytes, trivially copyable.
+  /// (lane, late, seq) are packed into one integer; the order reads the
+  /// lane from its top bits, then origin, then the rest of the key.
   struct Entry {
     SimTime time;
+    SimTime origin;
+    SimTime root;
     std::uint64_t lane_seq;
+    std::uint64_t root_seq;
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  /// Descending (time, lane, seq): sorted ranges are consumed backwards.
+  /// Descending key order (obs::precedes, reversed): sorted ranges are
+  /// consumed backwards.
   struct EntryAfter {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
+      if (((a.lane_seq ^ b.lane_seq) >> kLaneShift) != 0) {
+        return a.lane_seq > b.lane_seq;  // lanes differ
+      }
+      if (a.origin != b.origin) return a.origin > b.origin;
+      const bool a_late = (a.lane_seq & kLateBit) != 0;
+      if (a_late != ((b.lane_seq & kLateBit) != 0)) return a_late;
+      if (a.root != b.root) return a_late == (a.root > b.root);
+      if (a.root_seq != b.root_seq) return a.root_seq > b.root_seq;
       return a.lane_seq > b.lane_seq;
     }
   };
 
-  static constexpr std::uint64_t kSeqBits = 62;
-  static constexpr std::uint64_t kSeqMask = (std::uint64_t(1) << kSeqBits) - 1;
+  static constexpr std::uint64_t kLaneShift = 62;
+  static constexpr std::uint64_t kLateBit = std::uint64_t(1) << 61;
+  static constexpr std::uint64_t kSeqMask = kLateBit - 1;
   static constexpr std::size_t kDays = 256;  // ring size (power of two)
   static constexpr std::size_t kChunkSlots = 512;
   static constexpr std::size_t kSweepFloor = 1024;
@@ -244,12 +312,17 @@ class Engine {
     return static_cast<std::uint32_t>(id);
   }
   static std::uint64_t pack_lane_seq(Lane lane, std::uint64_t seq) {
-    return (static_cast<std::uint64_t>(lane) << kSeqBits) | seq;
+    return (static_cast<std::uint64_t>(lane) << kLaneShift) | seq;
+  }
+  static int lane_of(const Entry& entry) {
+    return static_cast<int>(entry.lane_seq >> kLaneShift);
   }
 
   /// Guarded entry insertion + slot allocation; the callback is emplaced
-  /// by the schedule_at template after this returns.
-  EventId schedule_slot(SimTime at, Lane lane);
+  /// by the schedule_* template after this returns.  `step` is the delay
+  /// from `origin` to `at` as the caller computed it (the chain test
+  /// needs the exact value, not at - origin).
+  EventId schedule_slot(SimTime origin, SimTime at, SimTime step, Lane lane);
   std::uint32_t allocate_slot();
   detail::InlineCallback& slot_callback(std::uint32_t slot);
   /// Destroy the callback, bump the generation and free the slot.
@@ -272,6 +345,10 @@ class Engine {
   void sweep_stale();
 
   SimTime now_ = 0.0;
+  /// The entry dispatched last (time -inf before the first): whatever is
+  /// scheduled at its instant takes its chain position from it.
+  Entry dispatching_{-std::numeric_limits<SimTime>::infinity(), 0.0, 0.0,
+                     0, 0, 0, 0};
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_count_ = 0;

@@ -1,8 +1,8 @@
 // Snapshot / restore / what-if forks for the resident service.
 //
 // The discrete-event core is bit-deterministic: events are ordered by
-// (time, lane, sequence), submissions ride a canonical lane, and nothing
-// in a run consumes wall-clock entropy.  That makes the cheapest
+// (time, lane, scheduling order), submissions ride a canonical lane, and
+// nothing in a run consumes wall-clock entropy.  That makes the cheapest
 // possible snapshot also a *complete* one: capture the inputs — the
 // service configuration, the accepted-submission log, and the simulated
 // clock — and restore by replaying them through a fresh service.  The

@@ -70,10 +70,16 @@ class FactFeed {
 
   // --- engine, federation, scheduler and redistribution facts --------------
 
-  void dispatched(double time, int lane, std::uint64_t seq, double clock,
+  /// A plain event's key: a one-link chain rooted at its origin.
+  void dispatched(double time, int lane, double origin, std::uint64_t seq,
+                  double clock, std::uint64_t watermark) {
+    dispatched(obs::EventKey{time, lane, origin, false, origin, seq, seq},
+               clock, watermark);
+  }
+  void dispatched(const obs::EventKey& key, double clock,
                   std::uint64_t watermark) {
     stream_.emit(obs::kDispatched, &obs::Sink::dispatched,
-                 obs::DispatchFact{time, lane, seq, clock, watermark});
+                 obs::DispatchFact{key, clock, watermark});
   }
   /// `id` routed to federation member `member`.
   void placed(JobId id, int member, double now, double wall_seconds = 0.0) {

@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <random>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "engine_digests.hpp"
@@ -184,6 +188,147 @@ TEST(CalendarOrdering, RandomScheduleCancelMatchesReferenceSort) {
   EXPECT_GT(run.queued_after_cancels, 0u);
   // Cancelling leaves stale entries behind; only a sweep drops them.
   EXPECT_LT(run.footprint_after_cancels, run.footprint_before_cancels);
+}
+
+// The order before spans existed, as a reference: a heap on (time,
+// lane, scheduling order), every event scheduled when it is known.
+class CounterEngine {
+ public:
+  double now() const { return now_; }
+  void schedule_after(double delay, std::function<void()> fn,
+                      Lane lane = Lane::Normal) {
+    schedule_at(now_ + delay, std::move(fn), lane);
+  }
+  void schedule_at(double at, std::function<void()> fn,
+                   Lane lane = Lane::Normal) {
+    queue_.push(Event{at, static_cast<int>(lane), next_seq_++, std::move(fn)});
+  }
+  void run() {
+    while (!queue_.empty()) {
+      const Event event = queue_.top();
+      queue_.pop();
+      now_ = event.time;
+      event.fn();
+    }
+  }
+
+ private:
+  struct Event {
+    double time;
+    int lane;
+    std::uint64_t seq;
+    std::function<void()> fn;
+    bool operator<(const Event& other) const {  // max-heap: invert
+      return std::tie(time, lane, seq) >
+             std::tie(other.time, other.lane, other.seq);
+    }
+  };
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::priority_queue<Event> queue_;
+};
+
+// schedule_span must fire a coalesced chain exactly where its last link
+// would fire had every link been an event.  Processes run spans of
+// equal-step links on a half-second grid (ties are the common case); at
+// each landing a process may schedule a side event (any lane, delay 0 to
+// 3 s) and starts its next span at once or from a separate event.  Every
+// choice hashes (seed, process, span), so runs make the same choices
+// whatever order their events fire in; their logs must match.
+template <typename Eng>
+class SpanWorld {
+ public:
+  SpanWorld(std::uint64_t seed, bool coalesce)
+      : seed_(seed), coalesce_(coalesce) {}
+
+  std::vector<std::string> run() {
+    for (int p = 0; p < kProcesses; ++p) {
+      engine_.schedule_at(pick(p, -1, 0, 4), [this, p] { start(p, 0); });
+    }
+    engine_.run();
+    return log_;
+  }
+
+ private:
+  static constexpr int kProcesses = 12;
+  static constexpr int kSpans = 8;
+
+  int pick(int process, int span, int what, int n) const {
+    std::uint64_t h = seed_ * 0x9e3779b97f4a7c15ULL;
+    for (const int v : {process, span, what}) {
+      h = (h ^ static_cast<std::uint64_t>(v + 7)) * 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 31;
+    }
+    return static_cast<int>(h % static_cast<std::uint64_t>(n));
+  }
+
+  void start(int p, int span) {
+    if (span == kSpans) return;
+    const double step = 0.5 * (1 + pick(p, span, 1, 4));
+    const int links = 1 + pick(p, span, 2, 5);
+    if constexpr (std::is_same_v<Eng, Engine>) {
+      if (coalesce_) {
+        double last_start = engine_.now();
+        for (int i = 1; i < links; ++i) last_start += step;
+        engine_.schedule_span(last_start, step,
+                              [this, p, span] { land(p, span); });
+        return;
+      }
+    }
+    link(p, span, links, step);
+  }
+
+  void link(int p, int span, int left, double step) {
+    engine_.schedule_after(step, [this, p, span, left, step] {
+      if (left == 1) {
+        land(p, span);
+      } else {
+        link(p, span, left - 1, step);
+      }
+    });
+  }
+
+  void land(int p, int span) {
+    const std::string name = std::to_string(p) + "." + std::to_string(span);
+    log_.push_back("land " + name);
+    if (pick(p, span, 3, 2) == 0) {
+      engine_.schedule_after(
+          0.5 * pick(p, span, 4, 7),
+          [this, name] { log_.push_back("side " + name); },
+          static_cast<Lane>(pick(p, span, 5, 3)));
+    }
+    // Next span: at once (continuing the chain), or from a separate event
+    // 0, 0.5 or 1 s later (a new root, late or early against the other
+    // chains' links at its instant).
+    const int gap = pick(p, span, 6, 4);
+    if (gap == 0) {
+      start(p, span + 1);
+      return;
+    }
+    engine_.schedule_after(0.5 * (gap - 1), [this, p, span, name] {
+      log_.push_back("resume " + name);
+      start(p, span + 1);
+    });
+  }
+
+  std::uint64_t seed_;
+  bool coalesce_;
+  Eng engine_;
+  std::vector<std::string> log_;
+};
+
+TEST(CalendarOrdering, SpansFireWhereTheirLastLinkWould) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const std::vector<std::string> reference =
+        SpanWorld<CounterEngine>(seed, false).run();
+    ASSERT_GE(reference.size(), 12u * 8u);
+    // One event per link keeps the scheduling order ...
+    EXPECT_EQ(SpanWorld<Engine>(seed, false).run(), reference)
+        << "seed " << seed;
+    // ... and so does one event per span.
+    EXPECT_EQ(SpanWorld<Engine>(seed, true).run(), reference)
+        << "seed " << seed;
+  }
 }
 
 // Far-future events force year re-anchoring (advance_year): the ring

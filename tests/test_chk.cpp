@@ -115,8 +115,8 @@ TEST(Lifecycle, OneBadEdgeAdoptsAndDoesNotCascade) {
 TEST(EventOrder, BehindTheClockIsAViolation) {
   chk::Auditor auditor;
   test::FactFeed feed(auditor);
-  feed.dispatched(10.0, 0, 1, 0.0, 2);
-  feed.dispatched(5.0, 0, 2, 10.0, 3);
+  feed.dispatched(10.0, 0, 0.0, 1, 0.0, 2);
+  feed.dispatched(5.0, 0, 0.0, 2, 10.0, 3);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "event-order");
   EXPECT_DOUBLE_EQ(violation.sim_time, 10.0);
@@ -128,8 +128,8 @@ TEST(EventOrder, CoexistingEventsMustDispatchInOrder) {
   test::FactFeed feed(auditor);
   // Both events queued (seqs 1 and 2, watermark 3) but the later tuple
   // pops first: a heap-ordering bug the auditor must catch.
-  feed.dispatched(5.0, 1, 2, 0.0, 3);
-  feed.dispatched(5.0, 0, 1, 5.0, 3);
+  feed.dispatched(5.0, 1, 0.0, 2, 0.0, 3);
+  feed.dispatched(5.0, 0, 0.0, 1, 5.0, 3);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "event-order");
   EXPECT_NE(violation.message.find("should have preceded"),
@@ -142,8 +142,70 @@ TEST(EventOrder, EventScheduledDuringCallbackMayLandAtSameInstant) {
   // seq 5 >= watermark 4: the second event did not coexist with the
   // first (a mid-callback arrival), so a lower lane at the same time is
   // legal.
-  feed.dispatched(5.0, 1, 2, 0.0, 4);
-  feed.dispatched(5.0, 0, 5, 5.0, 6);
+  feed.dispatched(5.0, 1, 0.0, 2, 0.0, 4);
+  feed.dispatched(5.0, 0, 5.0, 5, 5.0, 6);
+  EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
+}
+
+TEST(EventOrder, LaterOriginDispatchesAfterHigherSeq) {
+  chk::Auditor auditor;
+  test::FactFeed feed(auditor);
+  // Both queued (watermark 9), same instant and lane.  seq 4 was taken
+  // at t=0 but carries origin 3 (a coalesced span's last step start);
+  // seq 7 was scheduled at t=1.  The key orders origin before seq, so
+  // origin 1 goes first and the lower seq legally dispatches second.
+  feed.dispatched(5.0, 1, 1.0, 7, 1.0, 9);
+  feed.dispatched(5.0, 1, 3.0, 4, 5.0, 9);
+  EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
+}
+
+TEST(EventOrder, EarlierOriginAfterLaterOneIsAViolation) {
+  chk::Auditor auditor;
+  test::FactFeed feed(auditor);
+  // The mirror image: origin 3 popped before the coexisting origin 1.
+  feed.dispatched(5.0, 1, 3.0, 4, 1.0, 9);
+  feed.dispatched(5.0, 1, 1.0, 7, 5.0, 9);
+  const chk::Violation violation = only_violation(auditor.report());
+  EXPECT_EQ(violation.invariant, "event-order");
+  EXPECT_NE(violation.message.find("origin=1"), std::string::npos);
+}
+
+TEST(EventOrder, EarlyChainWithLaterRootLegallyGoesFirst) {
+  chk::Auditor auditor;
+  test::FactFeed feed(auditor);
+  // Same (time, lane, origin), both queued (watermark 9).  Early chains
+  // order by *descending* root: the one rooted at 3 precedes the one
+  // rooted at 1 although its root_seq is higher.
+  feed.dispatched(obs::EventKey{6.0, 1, 5.0, false, 3.0, 6, 6}, 5.0, 9);
+  feed.dispatched(obs::EventKey{6.0, 1, 5.0, false, 1.0, 2, 2}, 6.0, 9);
+  // Late chains follow every early one, by ascending root.
+  feed.dispatched(obs::EventKey{6.0, 1, 5.0, true, 2.0, 4, 4}, 6.0, 9);
+  feed.dispatched(obs::EventKey{6.0, 1, 5.0, true, 4.0, 7, 7}, 6.0, 9);
+  EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
+}
+
+TEST(EventOrder, LateChainBeforeEarlyOneIsAViolation) {
+  chk::Auditor auditor;
+  test::FactFeed feed(auditor);
+  feed.dispatched(obs::EventKey{6.0, 1, 5.0, true, 1.0, 2, 2}, 5.0, 9);
+  feed.dispatched(obs::EventKey{6.0, 1, 5.0, false, 1.0, 4, 4}, 6.0, 9);
+  const chk::Violation violation = only_violation(auditor.report());
+  EXPECT_EQ(violation.invariant, "event-order");
+  EXPECT_NE(violation.message.find("early root=1"), std::string::npos);
+}
+
+TEST(EventOrder, ScheduleSpanThroughTheRealEngineIsClean) {
+  chk::Auditor auditor;
+  sim::Engine engine;
+  engine.attach(auditor);
+  std::string order;
+  // Scheduled first (lower seq), but its last 2 s link starts at t=3.
+  engine.schedule_span(3.0, 2.0, [&] { order += "span"; });
+  engine.schedule_at(1.0, [&] {
+    engine.schedule_at(5.0, [&] { order += "plain,"; });
+  });
+  engine.run();
+  EXPECT_EQ(order, "plain,span");
   EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
 }
 
@@ -157,7 +219,9 @@ TEST(EventOrder, BackdoorTimeTravelThroughTheRealEngine) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(auditor.report().ok());
   // Bypass schedule_at's monotonicity guard: an event behind the clock.
-  chk::TestBackdoor::push_raw_event(engine, 5.0, sim::Lane::Normal, 99);
+  chk::TestBackdoor::push_raw_event(
+      engine, obs::EventKey{5.0, static_cast<int>(sim::Lane::Normal), 0.0,
+                            false, 0.0, 99, 99});
   engine.run();
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "event-order");

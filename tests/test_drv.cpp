@@ -3,12 +3,16 @@
 // heterogeneous mixes and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
 #include "apps/models.hpp"
 #include "drv/workload_driver.hpp"
+#include "engine_digests.hpp"
+#include "obs/sink.hpp"
 #include "redist/buffer.hpp"
 #include "wl/feitelson.hpp"
 
@@ -248,6 +252,207 @@ TEST(Driver, InhibitorReducesChecks) {
   const auto inhibited = run_fs_workload(10, true, false, 5, 10.0, 30);
   EXPECT_LT(inhibited.checks, eager.checks);
   EXPECT_EQ(inhibited.jobs, eager.jobs);
+  // Every reconfiguring point is either answered or swallowed.
+  EXPECT_EQ(eager.inhibited_checks, 0);
+  EXPECT_GT(inhibited.inhibited_checks, 0);
+  EXPECT_EQ(inhibited.checks + inhibited.inhibited_checks,
+            eager.checks + eager.inhibited_checks);
+}
+
+/// Records start/end facts of user jobs as "start NAME@T" / "end NAME@T".
+class LifecycleLog : public obs::Sink {
+ public:
+  LifecycleLog() : obs::Sink(obs::kStarted | obs::kFinished) {}
+  void started(const obs::JobFact& f) override { note("start", f); }
+  void finished(const obs::JobFact& f) override { note("end", f); }
+  std::string text;
+
+ private:
+  void note(const char* what, const obs::JobFact& f) {
+    if (f.job.spec.internal_resizer) return;
+    char line[64];
+    std::snprintf(line, sizeof(line), "%s%s %s@%g", text.empty() ? "" : ", ",
+                  what, f.job.spec.name.c_str(), f.now);
+    text += line;
+  }
+};
+
+JobPlan named(JobPlan plan, const char* name) {
+  plan.model.name = name;
+  return plan;
+}
+
+TEST(Driver, SameInstantRigidEndsKeepSchedulingOrder) {
+  // A's second step and B's only step both end at t=10.  B's step was
+  // scheduled at t=0, A's second step at t=5, so B ends first and its
+  // nodes go to the head waiter W2 before A ends.  (Expected order
+  // captured before step events were coalesced into spans.)
+  sim::Engine engine;
+  WorkloadDriver driver(engine, small_config(4));
+  LifecycleLog log;
+  driver.attach(log);
+  driver.add(named(fs_plan(0.0, 2, 10.0, 2, false), "A"));
+  driver.add(named(fs_plan(0.0, 2, 10.0, 1, false), "B"));
+  driver.add(named(fs_plan(1.0, 2, 5.0, 1, false), "W2"));
+  driver.add(named(fs_plan(2.0, 4, 5.0, 1, false), "W4"));
+  const WorkloadMetrics metrics = driver.run();
+  EXPECT_EQ(metrics.jobs, 4);
+  EXPECT_EQ(log.text,
+            "start A@0, start B@0, end B@10, start W2@10, end A@10, "
+            "end W2@15, start W4@15, end W4@20");
+}
+
+/// Flexible jobs on integer instants and power-of-two sizes (so step
+/// ends tie across jobs), behind an inhibitor period that does not
+/// divide the 3 s submit-size step.
+std::uint64_t odd_period_digest(bool asynchronous) {
+  sim::Engine engine;
+  DriverConfig config = small_config(16);
+  config.asynchronous = asynchronous;
+  config.sched_period_override = 7.0;
+  WorkloadDriver driver(engine, config);
+  const int sizes[] = {2, 4, 8, 4, 2, 8, 4, 2};
+  for (int i = 0; i < 8; ++i) {
+    const int steps = 12 + 3 * (i % 4);
+    driver.add(fs_plan(3.0 * (i / 2), sizes[i], 3.0 * steps, steps,
+                       /*flexible=*/i != 5, 16));
+  }
+  const WorkloadMetrics metrics = driver.run();
+  EXPECT_EQ(metrics.jobs, 8);
+  EXPECT_GT(metrics.expands + metrics.shrinks, 0);
+  return digests::fnv1a(digests::job_table(driver.federation()) +
+                        digests::metrics_tail(metrics));
+}
+
+TEST(Driver, OddInhibitorPeriodOutcomesPinned) {
+  // Golden digests captured before step events were coalesced into
+  // spans: the coalescer must reproduce every instant bit for bit.
+  EXPECT_EQ(odd_period_digest(false), 797759664750081444ULL);
+  EXPECT_EQ(odd_period_digest(true), 13662246240437873421ULL);
+}
+
+TEST(Driver, RestartedSpanKeepsItsChainOrder) {
+  // X (flexible, period 3) and Z (rigid) step in lockstep, 1 s apart,
+  // X first.  X's second span is queued at t=3, long after Z's single
+  // span, yet both last steps start at 5: X must still end first.  With
+  // check overhead (sync) X ends later instead.  (Expected orders
+  // captured before step events were coalesced into spans.)
+  for (const bool asynchronous : {true, false}) {
+    sim::Engine engine;
+    DriverConfig config = small_config(4);
+    config.asynchronous = asynchronous;
+    config.sched_period_override = 3.0;
+    WorkloadDriver driver(engine, config);
+    LifecycleLog log;
+    driver.attach(log);
+    driver.add(named(fs_plan(0.0, 2, 6.0, 6, true, 2), "X"));
+    driver.add(named(fs_plan(0.0, 2, 6.0, 6, false), "Z"));
+    driver.run();
+    EXPECT_EQ(log.text, asynchronous
+                            ? "start X@0, start Z@0, end X@6, end Z@6"
+                            : "start X@0, start Z@0, end Z@6, end X@6.1");
+  }
+}
+
+TEST(Driver, FlexibleSpansOfDifferentPeriodsKeepChainOrder) {
+  // X (period 5) and Y (period 2) share a 1 s step.  X's last span is a
+  // single step queued at t=5, Y's last span was queued at t=4; X was
+  // ahead from the start, so it ends first and the waiter W takes its
+  // nodes before Y ends.  (Captured before coalescing, as above.)
+  for (const bool asynchronous : {true, false}) {
+    sim::Engine engine;
+    DriverConfig config = small_config(4);
+    config.asynchronous = asynchronous;
+    WorkloadDriver driver(engine, config);
+    LifecycleLog log;
+    driver.attach(log);
+    JobPlan x = named(fs_plan(0.0, 2, 6.0, 6, true, 2), "X");
+    x.model.sched_period = 5.0;
+    JobPlan y = named(fs_plan(0.0, 2, 6.0, 6, true, 2), "Y");
+    y.model.sched_period = 2.0;
+    driver.add(std::move(x));
+    driver.add(std::move(y));
+    driver.add(named(fs_plan(1.0, 2, 3.0, 3, false), "W"));
+    driver.run();
+    EXPECT_EQ(log.text,
+              asynchronous ? "start X@0, start Y@0, end X@6, start W@6, "
+                             "end Y@6, end W@9"
+                           : "start X@0, start Y@0, end X@6.1, start W@6.1, "
+                             "end Y@6.15, end W@9.1");
+  }
+}
+
+/// Every start, end and allocation change (resizer jobs included), at
+/// full precision: the order the facts arrive in is the thing pinned.
+class FactOrderLog : public obs::Sink {
+ public:
+  FactOrderLog()
+      : obs::Sink(obs::kStarted | obs::kFinished | obs::kAllocChanged) {}
+  void started(const obs::JobFact& f) override { note("s", f); }
+  void finished(const obs::JobFact& f) override { note("e", f); }
+  void alloc_changed(const obs::AllocFact& f) override {
+    text += " a" + std::to_string(f.allocated) + "/" +
+            std::to_string(f.running);
+  }
+  std::string text;
+
+ private:
+  void note(const char* what, const obs::JobFact& f) {
+    char line[96];
+    std::snprintf(line, sizeof(line), " %s%s%s@%.17g", what,
+                  f.job.spec.internal_resizer ? "R" : "",
+                  f.job.spec.name.c_str(), f.now);
+    text += line;
+  }
+};
+
+/// A small random workload built for same-instant ties: integer
+/// arrivals and step lengths, power-of-two sizes, per-job inhibitor
+/// periods of 0 to 7 s, sync or async checks, with or without check
+/// overhead.  Choices hash (seed, job, field), so the workload does not
+/// depend on any standard-library distribution.
+std::string tie_heavy_fact_order(std::uint64_t seed) {
+  const auto pick = [seed](int job, int field, int n) {
+    std::uint64_t h = (seed + 1) * 0x9e3779b97f4a7c15ULL;
+    for (const int v : {job, field}) {
+      h = (h ^ static_cast<std::uint64_t>(v + 3)) * 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 29;
+    }
+    return static_cast<int>(h % static_cast<std::uint64_t>(n));
+  };
+  sim::Engine engine;
+  DriverConfig config;
+  config.rms.nodes = 4 << pick(-1, 0, 3);
+  config.asynchronous = pick(-1, 1, 2) == 1;
+  config.check_overhead_seconds = pick(-1, 2, 3) == 0 ? 1.0 : 0.0;
+  WorkloadDriver driver(engine, config);
+  FactOrderLog log;
+  driver.attach(log);
+  const double periods[] = {0.0, 1.0, 2.0, 3.0, 5.0, 7.0};
+  const int jobs = 2 + pick(-1, 3, 6);
+  for (int j = 0; j < jobs; ++j) {
+    const int size = std::min(1 << pick(j, 0, 4), config.rms.nodes);
+    const int steps = 1 + pick(j, 1, 12);
+    JobPlan plan = fs_plan(pick(j, 2, 5), size,
+                           steps * (1.0 + pick(j, 3, 4)), steps,
+                           /*flexible=*/pick(j, 4, 10) < 6, config.rms.nodes);
+    plan.model.name = std::string(1, static_cast<char>('A' + j));
+    plan.model.sched_period = periods[pick(j, 5, 6)];
+    if (pick(j, 6, 2) == 0) plan.model.state_bytes = 0;
+    driver.add(std::move(plan));
+  }
+  driver.run();
+  return log.text;
+}
+
+TEST(Driver, TieHeavyWorkloadsKeepPerStepFactOrder) {
+  std::string all;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    all += tie_heavy_fact_order(seed) + "\n";
+  }
+  // Captured before step events were coalesced into spans, when every
+  // step was its own engine event.
+  EXPECT_EQ(digests::fnv1a(all), 11475920825761050110ULL);
 }
 
 TEST(Driver, MixedWorkloadBothKindsComplete) {

@@ -316,7 +316,7 @@ TEST(Profiler, ReportFoldsAccumulatorsAndRss) {
   obs::Profiler profiler;
   test::FactFeed feed(profiler);
   for (int i = 0; i < 1001; ++i) {
-    feed.dispatched(0.0, 0, static_cast<std::uint64_t>(i), 0.0, 0);
+    feed.dispatched(0.0, 0, 0.0, static_cast<std::uint64_t>(i), 0.0, 0);
   }
   feed.schedule_pass(0.25);
   feed.schedule_pass(0.25);

@@ -32,6 +32,30 @@ TEST(Inhibitor, BlocksWithinPeriod) {
   EXPECT_FALSE(inhibitor.allow(7.0));
 }
 
+TEST(Inhibitor, WouldAllowAgreesWithAllowAndNeverArms) {
+  for (const double period : {0.0, 2.5, 7.0}) {
+    dmr::Inhibitor probe(period);
+    dmr::Inhibitor reference(period);
+    for (int i = 0; i <= 80; ++i) {
+      const double t = 0.3 * i;
+      const dmr::Inhibitor before = probe;
+      // Asking repeatedly changes nothing: the window stays where it is.
+      for (int ask = 0; ask < 3; ++ask) {
+        EXPECT_EQ(probe.would_allow(t), before.would_allow(t));
+      }
+      const bool expected = reference.allow(t);
+      EXPECT_EQ(probe.would_allow(t), expected)
+          << "period " << period << " t " << t;
+      // Keep the probe in step with the reference through allow() only.
+      EXPECT_EQ(probe.allow(t), expected);
+    }
+    // Asking never arms: half a period after a "yes", still "yes".
+    const dmr::Inhibitor fresh(period);
+    EXPECT_TRUE(fresh.would_allow(5.0));
+    EXPECT_TRUE(fresh.would_allow(5.0 + period / 2.0));
+  }
+}
+
 TEST(Inhibitor, ResetRearms) {
   dmr::Inhibitor inhibitor(5.0);
   EXPECT_TRUE(inhibitor.allow(0.0));

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -50,6 +51,43 @@ TEST(Engine, RejectsPastAndNegative) {
   engine.run();
   EXPECT_THROW(engine.schedule_at(5.0, [] {}), std::invalid_argument);
   EXPECT_THROW(engine.schedule_after(-1.0, [] {}), std::invalid_argument);
+}
+
+TEST(Engine, ScheduleSpanTiesAsItsLinksWould) {
+  // Two 1 s chains from t=0: X (queued first) as a 3-link span, then a
+  // 3-link span started at its landing; Z as one 6-link span.  Both end
+  // at 6 with their last link starting at 5.  Had every link been an
+  // event, X's would precede Z's at every instant, so X ends first even
+  // though its second span was queued at t=3, long after Z's.
+  Engine engine;
+  std::vector<std::string> order;
+  engine.schedule_span(2.0, 1.0, [&] {
+    engine.schedule_span(5.0, 1.0, [&] { order.push_back("X"); });
+  });
+  engine.schedule_span(5.0, 1.0, [&] { order.push_back("Z"); });
+  // Plain 1 s events scheduled at 5 by dispatches that rank before
+  // (scheduled at 0, before the links' 4) and after (scheduled at 4.5)
+  // the chains' links at 5.
+  engine.schedule_at(5.0, [&] {
+    engine.schedule_after(1.0, [&] { order.push_back("early"); });
+  });
+  engine.schedule_at(4.5, [&] {
+    engine.schedule_at(5.0, [&] {
+      engine.schedule_after(1.0, [&] { order.push_back("late"); });
+    });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"early", "X", "Z", "late"}));
+}
+
+TEST(Engine, ScheduleSpanRejectsPastStartAndNegativeStep) {
+  Engine engine;
+  engine.schedule_at(2.0, [] {});
+  engine.run();
+  EXPECT_THROW(engine.schedule_span(1.0, 4.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(engine.schedule_span(3.0, -1.0, [] {}), std::invalid_argument);
+  EXPECT_NO_THROW(engine.schedule_span(2.0, 3.0, [] {}));
+  EXPECT_NO_THROW(engine.schedule_span(5.0, 0.0, [] {}));
 }
 
 TEST(Engine, CancelPreventsExecution) {
