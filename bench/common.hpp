@@ -74,8 +74,9 @@ drv::WorkloadMetrics run_realistic_workload(
 /// Archive-scale replay: a seeded Feitelson workload round-tripped
 /// through SWF text (exactly the `make_swf | swf_replay` path, in
 /// memory) and replayed rigidly — the event-engine stress workload.
-/// 100k jobs at ~steps+3 engine events each puts >1M events through the
-/// calendar queue while the scheduler sees only the live-job window.
+/// 100k jobs at ~3 engine events each (arrival, start, one span) puts
+/// ~300k events through the event heap while the scheduler sees only the
+/// live-job window.
 struct ArchiveWorkloadOptions {
   int jobs = 100000;
   /// Machine size; also balances the arrival rate against `load`.

@@ -1,6 +1,7 @@
 #include "drv/workload_driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "chk/auditor.hpp"
@@ -96,6 +97,11 @@ void WorkloadDriver::alloc_changed(const obs::AllocFact& f) {
 }
 
 WorkloadDriver::Exec& WorkloadDriver::enqueue(JobPlan plan) {
+  if (!std::isfinite(plan.arrival)) {
+    throw std::invalid_argument("WorkloadDriver: job '" + plan.model.name +
+                                "' has a non-finite arrival " +
+                                std::to_string(plan.arrival));
+  }
   if (plan.arrival < engine_.now()) {
     throw std::invalid_argument(
         "WorkloadDriver: job '" + plan.model.name + "' arrival " +
@@ -118,17 +124,26 @@ WorkloadDriver::Exec& WorkloadDriver::enqueue(JobPlan plan) {
   return exec;
 }
 
-void WorkloadDriver::add(JobPlan plan) { enqueue(std::move(plan)); }
+void WorkloadDriver::add(JobPlan plan) {
+  arrivals_.push_back(&enqueue(std::move(plan)));
+}
 
-void WorkloadDriver::schedule_arrival(Exec& exec) {
-  exec.scheduled = true;
+void WorkloadDriver::submit_at(JobPlan plan) {
+  Exec& exec = enqueue(std::move(plan));
   engine_.schedule_at(
       exec.plan.arrival, [this, e = &exec] { submit(*e); },
       sim::Lane::Arrival);
 }
 
-void WorkloadDriver::submit_at(JobPlan plan) {
-  schedule_arrival(enqueue(std::move(plan)));
+void WorkloadDriver::schedule_next_arrival() {
+  if (next_arrival_ == arrivals_.size()) return;
+  engine_.schedule_at(
+      arrivals_[next_arrival_]->plan.arrival,
+      [this] {
+        submit(*arrivals_[next_arrival_++]);
+        schedule_next_arrival();
+      },
+      sim::Lane::Arrival);
 }
 
 void WorkloadDriver::submit(Exec& exec) {
@@ -328,11 +343,17 @@ void WorkloadDriver::collect_cluster_metrics(WorkloadMetrics& metrics,
 }
 
 WorkloadMetrics WorkloadDriver::run() {
-  // Schedule arrivals not already fed through submit_at().
+  // Stream the add()ed plans through one pending arrival event: the
+  // queue holds the next arrival only, not the whole backlog.  A stable
+  // sort keeps same-instant arrivals in add() order, the order in which
+  // arrivals scheduled up front would fire.
   by_id_.reserve(execs_.size());
-  for (auto& exec : execs_) {
-    if (!exec.scheduled) schedule_arrival(exec);
-  }
+  const auto pending =
+      arrivals_.begin() + static_cast<std::ptrdiff_t>(next_arrival_);
+  std::stable_sort(pending, arrivals_.end(), [](const Exec* a, const Exec* b) {
+    return a->plan.arrival < b->plan.arrival;
+  });
+  schedule_next_arrival();
   engine_.run();
   if (!federation_.all_done()) {
     throw std::logic_error("WorkloadDriver: engine drained with live jobs");

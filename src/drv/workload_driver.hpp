@@ -101,9 +101,10 @@ class WorkloadDriver : private obs::Sink {
   /// Layers above the driver (the resident service) emit through it.
   obs::Stream& stream() { return stream_; }
 
-  /// Queue a plan for run() to schedule.  Throws std::invalid_argument
-  /// when the arrival lies before the current simulated clock — the
-  /// driver never silently reorders a stale submission.
+  /// Queue a plan for run() to submit at its arrival.  Throws
+  /// std::invalid_argument when the arrival is not finite or lies before
+  /// the current simulated clock — the driver never silently reorders a
+  /// stale submission.
   void add(JobPlan plan);
 
   /// Incremental feed (service mode): schedule the submission right now,
@@ -152,8 +153,6 @@ class WorkloadDriver : private obs::Sink {
     int steps_left = 0;
     /// Steps covered by the pending span event.
     int span_steps = 0;
-    /// Arrival event already scheduled (submit_at feeds; run() skips).
-    bool scheduled = false;
     /// Constructed in place at submission (no per-job heap allocation).
     std::optional<::dmr::Session> session;
     /// Reconfiguring-point protocol state — only a flexible job ever
@@ -162,7 +161,8 @@ class WorkloadDriver : private obs::Sink {
   };
 
   Exec& enqueue(JobPlan plan);
-  void schedule_arrival(Exec& exec);
+  /// Arrival cursor: schedule the next add()ed plan's arrival, if any.
+  void schedule_next_arrival();
   void submit(Exec& exec);
   /// The driver's own subscription: start handling, completions, and
   /// the step series.
@@ -210,6 +210,10 @@ class WorkloadDriver : private obs::Sink {
   /// A deque so Exec addresses stay stable for the event callbacks while
   /// jobs keep arriving — without a heap allocation per job.
   std::deque<Exec> execs_;
+  /// add()ed jobs, sorted by arrival in run(); the arrival event of
+  /// arrivals_[next_arrival_] is the one pending.
+  std::vector<Exec*> arrivals_;
+  std::size_t next_arrival_ = 0;
   /// Job id -> execution state; hashed (never iterated) — the id lookup
   /// runs on every job start/end.
   std::unordered_map<rms::JobId, Exec*> by_id_;

@@ -74,7 +74,9 @@ std::string ProfileReport::json_fields() const {
       << ",\"jobs\":" << jobs << ",\"jobs_per_second\":" << jobs_per_second
       << ",\"schedule_passes\":" << schedule_passes
       << ",\"schedule_seconds\":" << schedule_seconds
-      << ",\"seconds_per_pass\":" << seconds_per_pass
+      // Sub-microsecond passes: six significant digits, not six decimals.
+      << ",\"seconds_per_pass\":" << std::defaultfloat << seconds_per_pass
+      << std::fixed
       << ",\"placements\":" << placements
       << ",\"placement_seconds\":" << placement_seconds
       << ",\"redists\":" << redists

@@ -1,9 +1,7 @@
 #include "sim/engine.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
-
-#include "util/log.hpp"
 
 namespace dmr::sim {
 
@@ -48,9 +46,12 @@ void Engine::release_slot(std::uint32_t slot) {
 
 EventId Engine::schedule_slot(SimTime origin, SimTime at, SimTime step,
                               Lane lane) {
-  // !(at >= now_) also rejects NaN instead of queueing an unorderable
-  // entry.
-  if (!(at >= now_)) {
+  // A non-finite time would never fire (inf) or break the key's total
+  // order (NaN).
+  if (!std::isfinite(at)) {
+    throw std::invalid_argument("Engine::schedule_at: non-finite time");
+  }
+  if (at < now_) {
     throw std::invalid_argument("Engine::schedule_at: time in the past");
   }
   const std::uint32_t slot = allocate_slot();
@@ -80,226 +81,67 @@ EventId Engine::schedule_slot(SimTime origin, SimTime at, SimTime step,
 }
 
 void Engine::insert_entry(const Entry& entry) {
-  ++size_;
-  const double t = entry.time;
-  // Written as !(t < limit) so +inf lands in the overflow list.
-  if (!(t < year_limit_)) {
-    overflow_.push_back(entry);
-  } else {
-    // Any monotone time->day mapping partitions correctly (dispatch
-    // order comes from the per-day sort), so the reciprocal multiply is
-    // safe even where it rounds differently from the division.
-    const std::int64_t day =
-        static_cast<std::int64_t>((t - epoch_) * inv_width_);
-    if (day <= active_day_) {
-      // The day under the cursor (or a backdoor time-travel entry):
-      // binary-insert to keep active_ sorted.  The common case — an
-      // immediate event at the current instant — is the descending
-      // minimum and lands at the back in O(1).
-      const auto pos = std::lower_bound(active_.begin(), active_.end(), entry,
-                                        EntryAfter{});
-      active_.insert(pos, entry);
-    } else if (day < static_cast<std::int64_t>(kDays)) {
-      buckets_[static_cast<std::size_t>(day)].push_back(entry);
-      bucket_bits_[day >> 6] |= std::uint64_t(1) << (day & 63);
-    } else {
-      // Floating-point edge: t just under year_limit_ can still floor to
-      // kDays.
-      overflow_.push_back(entry);
-    }
+  // A stale top — usually the entry being dispatched — is replaced in one
+  // sift instead of a pop and a push.
+  if (!heap_.empty() && gens_[heap_.front().slot] != heap_.front().gen) {
+    heap_.front() = entry;
+    --stale_;
+    sift_down(0);
+    return;
   }
-  if (size_ >= grow_at_) rebuild();
+  heap_.push_back(entry);
+  sift_up(heap_.size() - 1);
 }
 
-std::int64_t Engine::next_set_day(std::int64_t after) const {
-  const std::size_t start =
-      after < 0 ? 0 : static_cast<std::size_t>(after) + 1;
-  if (start >= kDays) return -1;
-  std::size_t word_idx = start >> 6;
-  std::uint64_t word =
-      bucket_bits_[word_idx] & (~std::uint64_t(0) << (start & 63));
-  for (;;) {
-    if (word != 0) {
-      return static_cast<std::int64_t>(word_idx * 64 +
-                                       std::countr_zero(word));
-    }
-    if (++word_idx >= kDays / 64) return -1;
-    word = bucket_bits_[word_idx];
+void Engine::sift_up(std::size_t i) {
+  const Entry entry = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!EntryAfter{}(heap_[parent], entry)) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
+  heap_[i] = entry;
+}
+
+void Engine::sift_down(std::size_t i) {
+  const std::size_t n = heap_.size();
+  const Entry entry = heap_[i];
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + 4, n);
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < end; ++child) {
+      if (EntryAfter{}(heap_[best], heap_[child])) best = child;
+    }
+    if (!EntryAfter{}(entry, heap_[best])) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = entry;
 }
 
 bool Engine::settle_front() {
-  for (;;) {
-    while (!active_.empty()) {
-      const Entry& entry = active_.back();
-      if (gens_[entry.slot] == entry.gen) return true;
-      active_.pop_back();  // stale: slot already reclaimed by cancel()
-      --size_;
-      --stale_;
-    }
-    const std::int64_t day = next_set_day(active_day_);
-    if (day >= 0) {
-      active_day_ = day;
-      bucket_bits_[day >> 6] &= ~(std::uint64_t(1) << (day & 63));
-      std::vector<Entry>& bucket = buckets_[static_cast<std::size_t>(day)];
-      active_.swap(bucket);  // bucket inherits active_'s spare capacity
-      std::sort(active_.begin(), active_.end(), EntryAfter{});
-      continue;
-    }
-    if (overflow_.empty()) return false;
-    advance_year();
-  }
-}
-
-void Engine::merge_overflow() {
-  if (overflow_sorted_ == overflow_.size()) return;
-  const auto mid = overflow_.begin() +
-                   static_cast<std::ptrdiff_t>(overflow_sorted_);
-  std::sort(mid, overflow_.end(), EntryAfter{});
-  std::inplace_merge(overflow_.begin(), mid, overflow_.end(), EntryAfter{});
-  overflow_sorted_ = overflow_.size();
-}
-
-void Engine::advance_year() {
-  merge_overflow();
-  // The back of the (descending) overflow is the global minimum; drop
-  // stale entries sitting there while we are touching them anyway.
-  while (!overflow_.empty() &&
-         gens_[overflow_.back().slot] != overflow_.back().gen) {
-    overflow_.pop_back();
-    --size_;
+  while (!heap_.empty()) {
+    const Entry& top = heap_.front();
+    if (gens_[top.slot] == top.gen) return true;
+    // Stale (cancelled, or dispatched and not replaced): pop it.
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
     --stale_;
   }
-  overflow_sorted_ = overflow_.size();
-  if (overflow_.empty()) return;
-
-  // Re-anchor the year at the overflow minimum and adapt the day width
-  // to the span: aim for a handful of events per day; anything past the
-  // new year stays in overflow for the next advance.
-  const double t_min = overflow_.back().time;
-  const double t_max = overflow_.front().time;
-  const double span = t_max - t_min;
-  // Expected events over the span: at least the overflow population, but
-  // when the engine has been dispatching (steady state) the observed
-  // rate counts the ring-resident chains the overflow entries will
-  // spawn, which dominate day occupancy.
-  double expected = static_cast<double>(overflow_.size());
-  const double window = now_ - year_mark_time_;
-  if (window > 0.0 && executed_ > year_mark_executed_) {
-    const double rate =
-        static_cast<double>(executed_ - year_mark_executed_) / window;
-    expected = std::max(expected, rate * span);
-  }
-  year_mark_time_ = now_;
-  year_mark_executed_ = executed_;
-  double width =
-      span > 0.0 && std::isfinite(span) ? span * 4.0 / expected : width_;
-  if (!(width > 0.0) || !std::isfinite(width)) width = 1.0;
-  width_ = width;
-  inv_width_ = 1.0 / width_;
-  epoch_ = t_min;
-  year_limit_ = epoch_ + width_ * static_cast<double>(kDays);
-  active_day_ = -1;
-
-  while (!overflow_.empty()) {
-    const Entry entry = overflow_.back();
-    if (!(entry.time < year_limit_)) break;
-    const std::int64_t day =
-        static_cast<std::int64_t>((entry.time - epoch_) * inv_width_);
-    if (day >= static_cast<std::int64_t>(kDays)) break;
-    overflow_.pop_back();
-    buckets_[static_cast<std::size_t>(day)].push_back(entry);
-    bucket_bits_[day >> 6] |= std::uint64_t(1) << (day & 63);
-  }
-  overflow_sorted_ = overflow_.size();
-}
-
-void Engine::rebuild() {
-  std::vector<Entry> all;
-  all.reserve(size_);
-  auto take = [&](std::vector<Entry>& source) {
-    for (const Entry& entry : source) {
-      if (gens_[entry.slot] == entry.gen) {
-        all.push_back(entry);
-      } else {
-        --size_;
-        --stale_;
-      }
-    }
-    source.clear();
-  };
-  take(active_);
-  for (std::size_t day = 0; day < kDays; ++day) take(buckets_[day]);
-  for (std::uint64_t& word : bucket_bits_) word = 0;
-  take(overflow_);
-  overflow_sorted_ = 0;
-
-  if (!all.empty()) {
-    double t_min = all.front().time;
-    double t_max = t_min;
-    for (const Entry& entry : all) {
-      t_min = std::min(t_min, entry.time);
-      t_max = std::max(t_max, entry.time);
-    }
-    const double span = t_max - t_min;
-    double width = span > 0.0 && std::isfinite(span)
-                       ? span * 4.0 / static_cast<double>(all.size())
-                       : width_;
-    if (!(width > 0.0) || !std::isfinite(width)) width = 1.0;
-    width_ = width;
-    inv_width_ = 1.0 / width_;
-    epoch_ = std::isfinite(t_min) ? t_min : now_;
-    year_limit_ = epoch_ + width_ * static_cast<double>(kDays);
-    active_day_ = -1;
-    for (const Entry& entry : all) {
-      if (entry.time < year_limit_) {
-        const std::int64_t day =
-            static_cast<std::int64_t>((entry.time - epoch_) * inv_width_);
-        if (day < static_cast<std::int64_t>(kDays)) {
-          buckets_[static_cast<std::size_t>(day)].push_back(entry);
-          bucket_bits_[day >> 6] |= std::uint64_t(1) << (day & 63);
-          continue;
-        }
-      }
-      overflow_.push_back(entry);
-    }
-  }
-  grow_at_ = std::max<std::size_t>(2 * size_, 4096);
+  return false;
 }
 
 void Engine::sweep_stale() {
-  const auto is_stale = [this](const Entry& entry) {
+  std::erase_if(heap_, [this](const Entry& entry) {
     return gens_[entry.slot] != entry.gen;
-  };
-  std::size_t removed = 0;
-  const auto filter = [&](std::vector<Entry>& entries) {
-    const std::size_t before = entries.size();
-    std::erase_if(entries, is_stale);
-    removed += before - entries.size();
-  };
-  filter(active_);
-  for (std::size_t day = 0; day < kDays; ++day) {
-    filter(buckets_[day]);
-    if (buckets_[day].empty()) {
-      bucket_bits_[day >> 6] &= ~(std::uint64_t(1) << (day & 63));
-    }
-  }
-  // Overflow: stable compaction preserves the sorted-prefix invariant;
-  // only the prefix length needs recomputing.
-  std::size_t kept = 0;
-  std::size_t kept_sorted = 0;
-  for (std::size_t i = 0; i < overflow_.size(); ++i) {
-    if (is_stale(overflow_[i])) {
-      ++removed;
-      continue;
-    }
-    overflow_[kept++] = overflow_[i];
-    if (i < overflow_sorted_) kept_sorted = kept;
-  }
-  overflow_.resize(kept);
-  overflow_sorted_ = kept_sorted;
-  size_ -= removed;
-  stale_ -= removed;
+  });
+  stale_ = 0;
+  if (heap_.size() < 2) return;
+  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
 }
 
 bool Engine::cancel(EventId id) {
@@ -309,8 +151,8 @@ bool Engine::cancel(EventId id) {
   release_slot(slot);
   --live_count_;
   ++stale_;
-  // Keep the stale share bounded even when cancelled days are never
-  // reached (run_until stopped early, service forks abandoned).
+  // Keep the stale share bounded even when cancelled entries never reach
+  // the top (run_until stopped early, service forks abandoned).
   if (stale_ > std::max(kSweepFloor, live_count_)) sweep_stale();
   return true;
 }
@@ -318,10 +160,8 @@ bool Engine::cancel(EventId id) {
 bool Engine::step() {
   if (!settle_front()) return false;
   // A copy: a callback that steps the engine itself moves dispatching_.
-  const Entry entry = active_.back();
+  const Entry entry = heap_.front();
   dispatching_ = entry;
-  active_.pop_back();
-  --size_;
   if (stream_.wants(obs::kDispatched)) {
     // Report against the pre-advance clock; next_seq_ is the watermark
     // separating events that coexisted in the queue from ones the
@@ -337,8 +177,11 @@ bool Engine::step() {
   // The event is no longer pending from the callback's point of view
   // (cancel(own id) returns false, matching the old engine) but the slot
   // is not reusable until the closure has run and been destroyed.
+  // Its entry stays on top as a stale one, for the first event the
+  // callback schedules to replace.
   if (++gens_[entry.slot] == 0) gens_[entry.slot] = 1;
   --live_count_;
+  ++stale_;
   ++executed_;
   if (!callback.empty()) callback.invoke();
   callback.destroy();
@@ -362,7 +205,7 @@ std::size_t Engine::run_until(SimTime t_end) {
   std::size_t count = 0;
   while (!stop_requested_) {
     if (!settle_front()) break;
-    if (active_.back().time > t_end) break;
+    if (heap_.front().time > t_end) break;
     step();
     ++count;
   }
@@ -373,41 +216,6 @@ std::size_t Engine::run_until(SimTime t_end) {
   }
   if (now_ < t_end) now_ = t_end;
   return count;
-}
-
-PeriodicTask::PeriodicTask(Engine& engine, SimTime period,
-                           std::function<bool()> fn)
-    : engine_(engine), period_(period), fn_(std::move(fn)) {
-  if (period_ <= 0.0) {
-    throw std::invalid_argument("PeriodicTask: non-positive period");
-  }
-}
-
-PeriodicTask::~PeriodicTask() { stop(); }
-
-void PeriodicTask::start(SimTime first_delay) {
-  stop();
-  base_ = engine_.now() + first_delay;
-  ticks_ = 0;
-  event_ = engine_.schedule_after(first_delay, [this] { fire(); });
-}
-
-void PeriodicTask::stop() {
-  if (event_ != kInvalidEvent) {
-    engine_.cancel(event_);
-    event_ = kInvalidEvent;
-  }
-}
-
-void PeriodicTask::fire() {
-  event_ = kInvalidEvent;
-  if (!fn_()) return;
-  ++ticks_;
-  // Closed form, not now + period: repeated addition accumulates one
-  // rounding error per tick and drifts over ~1e6-period horizons.
-  // Monotone fp rounding guarantees base + k*p >= base + (k-1)*p = now.
-  event_ = engine_.schedule_at(base_ + static_cast<double>(ticks_) * period_,
-                               [this] { fire(); });
 }
 
 }  // namespace dmr::sim

@@ -39,46 +39,37 @@
 // same instant are compared as if their links had coincided.
 //
 // Lanes make that order *canonical* across different scheduling
-// histories: a submission arrival scheduled up front (batch replay) and
-// the same arrival scheduled mid-run (streaming service mode) land in
-// the same position relative to other events at the same instant.  The
-// resident service's snapshot/restore machinery depends on this — a
-// restored run re-schedules the whole submission log before running, and
-// lanes guarantee the replayed event interleaving matches the live one.
+// histories: a submission arrival scheduled ahead of time (snapshot
+// replay, or the batch driver's arrival cursor) and the same arrival
+// scheduled mid-run (streaming service mode) land in the same position
+// relative to other events at the same instant.  The resident service's
+// snapshot/restore machinery depends on this — a restored run
+// re-schedules the whole submission log before running, and lanes
+// guarantee the replayed event interleaving matches the live one.
 //
 // Archive-scale internals (100k-job SWF replays are millions of events):
 //
-//  - The event list is a two-level calendar: a ring of day buckets
-//    covering one "year" of simulated time plus an overflow list for
-//    events beyond it.  The day under the cursor is drained through a
-//    sorted `active_` vector (descending, popped from the back); future
-//    days hold unsorted entries that are sorted once, when their day
-//    arrives.  Total order is exactly the key above — the layout is
-//    invisible to outcomes.
+//  - The event list is a 4-ary min-heap of 48-byte entries ordered by the
+//    key above.  The key is a total order, so the layout is invisible to
+//    outcomes.  The heap stays small because the batch driver streams
+//    its arrivals (one pending arrival event per driver, not one per
+//    job), so it holds about one entry per running job.
 //
 //  - Event identity is a generation-tagged slot: EventId packs
 //    (slot index, generation), so schedule/cancel/pending/dispatch are
 //    array lookups with zero hashing.  Cancelling reclaims the slot and
-//    its callback storage eagerly; a stale 48-byte queue entry remains
-//    until its day is reached or a sweep collects it.
+//    its callback storage eagerly; a stale queue entry remains until it
+//    reaches the top of the heap or a sweep collects it.
 //
 //  - Callbacks live in a small-buffer inline type (detail::InlineCallback)
 //    inside stable slot chunks; a capture over 48 bytes (none the
 //    simulator schedules) falls back to new/delete.  No per-event
 //    std::function heap churn on the hot path.
-//
-// Why a calendar and not a plain heap: a 4-ary heap over the same slot
-// arena passes every golden digest and is ~200 lines shorter, but
-// archive replays queue tens of thousands of arrivals up front, and the
-// heap's sift depth over that backlog cost ~12% throughput on the
-// archive_hiload benchmark (every heap run slower than every calendar
-// run); fig10 and fed_checked were within noise.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -176,8 +167,8 @@ class Engine {
 
   SimTime now() const { return now_; }
 
-  /// Schedule `fn` at absolute virtual time `at` (>= now).  Returns a
-  /// handle usable with cancel().
+  /// Schedule `fn` at absolute virtual time `at` (finite, >= now).
+  /// Returns a handle usable with cancel().
   template <typename F>
   EventId schedule_at(SimTime at, F&& fn, Lane lane = Lane::Normal) {
     const EventId id = schedule_slot(now_, at, at - now_, lane);
@@ -217,7 +208,7 @@ class Engine {
 
   /// Cancel a pending event.  Returns false when the event already fired,
   /// was cancelled, or never existed.  The slot and its callback storage
-  /// are reclaimed immediately (the calendar entry goes stale and is
+  /// are reclaimed immediately (the heap entry goes stale and is
   /// collected lazily or by a sweep).
   bool cancel(EventId id);
 
@@ -232,10 +223,10 @@ class Engine {
   std::size_t queued() const { return live_count_; }
   bool empty() const { return live_count_ == 0; }
 
-  /// Calendar entries currently held, *including* stale (cancelled)
-  /// ones — the structure's memory-visible footprint, for tests and
-  /// telemetry.  queued() <= queue_footprint().
-  std::size_t queue_footprint() const { return size_; }
+  /// Heap entries currently held, *including* stale ones (cancelled, or
+  /// dispatched and not yet replaced) — the structure's memory-visible
+  /// footprint, for tests and telemetry.  queued() <= queue_footprint().
+  std::size_t queue_footprint() const { return heap_.size(); }
 
   /// Run a single event; returns false when no events remain.
   bool step();
@@ -281,8 +272,7 @@ class Engine {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  /// Descending key order (obs::precedes, reversed): sorted ranges are
-  /// consumed backwards.
+  /// True when `a` fires after `b` (obs::precedes with swapped arguments).
   struct EntryAfter {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -301,7 +291,6 @@ class Engine {
   static constexpr std::uint64_t kLaneShift = 62;
   static constexpr std::uint64_t kLateBit = std::uint64_t(1) << 61;
   static constexpr std::uint64_t kSeqMask = kLateBit - 1;
-  static constexpr std::size_t kDays = 256;  // ring size (power of two)
   static constexpr std::size_t kChunkSlots = 512;
   static constexpr std::size_t kSweepFloor = 1024;
 
@@ -329,19 +318,13 @@ class Engine {
   void release_slot(std::uint32_t slot);
 
   void insert_entry(const Entry& entry);
-  /// Ensure active_.back() is the live global minimum; false when the
-  /// calendar is empty.  Discards stale entries it passes over.
+  /// Drop stale entries from the top; false when the heap is empty,
+  /// otherwise heap_.front() is the live minimum.
   bool settle_front();
-  std::int64_t next_set_day(std::int64_t after) const;
-  /// Ring empty: re-anchor the year at the overflow minimum (adapting
-  /// the bucket width to the overflow span) and re-bucket its entries.
-  void advance_year();
-  /// Fold the unsorted overflow appendix into the sorted prefix.
-  void merge_overflow();
-  /// Re-anchor and re-bucket everything (width adaptation on growth).
-  void rebuild();
-  /// Drop stale entries from every level (triggered when cancels pile up
-  /// faster than their days are reached).
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Drop every stale entry and re-heapify (triggered when cancels pile
+  /// up faster than the stale entries reach the top).
   void sweep_stale();
 
   SimTime now_ = 0.0;
@@ -352,62 +335,16 @@ class Engine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_count_ = 0;
-  std::size_t size_ = 0;   // calendar entries, stale included
-  std::size_t stale_ = 0;  // cancelled entries not yet collected
+  std::size_t stale_ = 0;  // cancelled or dispatched, not yet collected
   bool stop_requested_ = false;
   obs::Stream stream_;
-
-  // --- calendar ------------------------------------------------------------
-  double width_ = 1.0;                     // day length (seconds)
-  double inv_width_ = 1.0;                 // 1/width_: no div per insert
-  double epoch_ = 0.0;                     // start time of ring day 0
-  double year_limit_ = double(kDays);      // epoch_ + width_ * kDays
-  std::int64_t active_day_ = 0;            // day being drained (-1: none yet)
-  std::vector<Entry> active_;              // sorted descending, pop from back
-  std::vector<std::vector<Entry>> buckets_ =
-      std::vector<std::vector<Entry>>(kDays);
-  std::uint64_t bucket_bits_[kDays / 64] = {};
-  std::vector<Entry> overflow_;            // events beyond the current year
-  std::size_t overflow_sorted_ = 0;        // descending-sorted prefix length
-  std::size_t grow_at_ = 4096;             // rebuild threshold
-  /// Dispatch-rate window for advance_year's width adaptation: overflow
-  /// holds only the far-scheduled events, but each one typically spawns
-  /// a chain of near-term events that land directly in the ring, so
-  /// sizing days by overflow count alone leaves them overcrowded.
-  double year_mark_time_ = 0.0;
-  std::uint64_t year_mark_executed_ = 0;
+  std::vector<Entry> heap_;  // 4-ary min-heap, stale entries included
 
   // --- generation-tagged slots ---------------------------------------------
   std::vector<std::uint32_t> gens_;        // current generation per slot
   std::vector<std::uint32_t> free_slots_;
   struct CallbackChunk;                    // stable storage: never moves
   std::vector<std::unique_ptr<CallbackChunk>> chunks_;
-};
-
-/// Repeating timer helper: fires `fn` every `period` until stop() or the
-/// predicate returns false.  Used for the runtime's periodic RMS checks.
-/// Tick k fires at first_fire + k*period (closed form — repeated
-/// `now + period` addition would accumulate rounding drift over long
-/// horizons).
-class PeriodicTask {
- public:
-  PeriodicTask(Engine& engine, SimTime period, std::function<bool()> fn);
-  ~PeriodicTask();
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  void start(SimTime first_delay);
-  void stop();
-  bool running() const { return event_ != kInvalidEvent; }
-
- private:
-  void fire();
-  Engine& engine_;
-  SimTime period_;
-  std::function<bool()> fn_;
-  EventId event_ = kInvalidEvent;
-  SimTime base_ = 0.0;       // first-fire instant of the current start()
-  std::uint64_t ticks_ = 0;  // completed fires since start()
 };
 
 }  // namespace dmr::sim

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -44,20 +45,40 @@ constexpr const char* kFieldNames[18] = {
     "group_id",       "executable",      "queue",
     "partition",      "preceding_job",   "think_time"};
 
+/// Largest magnitude a field may hold: past 2^53 a double no longer
+/// represents every whole second or count, and the replay's time
+/// arithmetic loses its resolution long before it overflows.
+constexpr double kMaxMagnitude = 9007199254740992.0;
+
+SwfParseError field_error(int line, int field, const std::string& token,
+                          const char* problem) {
+  return SwfParseError(line, "field " + std::to_string(field + 1) + " (" +
+                                 kFieldNames[field] + ") " + problem +
+                                 ": \"" + token + "\"");
+}
+
 double parse_number(const std::string& token, int line, int field) {
   const char* begin = token.c_str();
   char* end = nullptr;
   const double value = std::strtod(begin, &end);
   if (end == begin || *end != '\0') {
-    throw SwfParseError(line, "field " + std::to_string(field + 1) + " (" +
-                                  kFieldNames[field] + ") is not numeric: \"" +
-                                  token + "\"");
+    throw field_error(line, field, token, "is not numeric");
+  }
+  if (!std::isfinite(value) || std::abs(value) > kMaxMagnitude) {
+    throw field_error(line, field, token, "is out of range");
   }
   return value;
 }
 
-long long parse_integer(const std::string& token, int line, int field) {
-  return std::llround(parse_number(token, line, field));
+/// A whole-number field, rounded and range-checked against `Int`.
+template <typename Int>
+Int parse_integer(const std::string& token, int line, int field) {
+  const double value = std::round(parse_number(token, line, field));
+  if (value < static_cast<double>(std::numeric_limits<Int>::min()) ||
+      value > static_cast<double>(std::numeric_limits<Int>::max())) {
+    throw field_error(line, field, token, "is out of range");
+  }
+  return static_cast<Int>(value);
 }
 
 /// `; Key: Value` (or `;Key: Value`); returns false for free comments.
@@ -137,24 +158,23 @@ SwfTrace parse_swf(std::istream& in) {
     }
     TraceJob job;
     job.line = line_no;
-    job.job_number = parse_integer(fields[0], line_no, 0);
+    job.job_number = parse_integer<long long>(fields[0], line_no, 0);
     job.submit = parse_number(fields[1], line_no, 1);
     job.wait = parse_number(fields[2], line_no, 2);
     job.run_time = parse_number(fields[3], line_no, 3);
-    job.used_procs = static_cast<int>(parse_integer(fields[4], line_no, 4));
+    job.used_procs = parse_integer<int>(fields[4], line_no, 4);
     job.avg_cpu_seconds = parse_number(fields[5], line_no, 5);
     job.used_memory_kb = parse_number(fields[6], line_no, 6);
-    job.requested_procs =
-        static_cast<int>(parse_integer(fields[7], line_no, 7));
+    job.requested_procs = parse_integer<int>(fields[7], line_no, 7);
     job.requested_time = parse_number(fields[8], line_no, 8);
     job.requested_memory_kb = parse_number(fields[9], line_no, 9);
-    job.status = static_cast<int>(parse_integer(fields[10], line_no, 10));
-    job.user_id = static_cast<int>(parse_integer(fields[11], line_no, 11));
-    job.group_id = static_cast<int>(parse_integer(fields[12], line_no, 12));
-    job.executable = static_cast<int>(parse_integer(fields[13], line_no, 13));
-    job.queue = static_cast<int>(parse_integer(fields[14], line_no, 14));
-    job.partition = static_cast<int>(parse_integer(fields[15], line_no, 15));
-    job.preceding_job = parse_integer(fields[16], line_no, 16);
+    job.status = parse_integer<int>(fields[10], line_no, 10);
+    job.user_id = parse_integer<int>(fields[11], line_no, 11);
+    job.group_id = parse_integer<int>(fields[12], line_no, 12);
+    job.executable = parse_integer<int>(fields[13], line_no, 13);
+    job.queue = parse_integer<int>(fields[14], line_no, 14);
+    job.partition = parse_integer<int>(fields[15], line_no, 15);
+    job.preceding_job = parse_integer<long long>(fields[16], line_no, 16);
     job.think_time = parse_number(fields[17], line_no, 17);
     trace.jobs.push_back(job);
   }

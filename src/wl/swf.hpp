@@ -93,6 +93,9 @@ class SwfParseError : public std::runtime_error {
   int line_;
 };
 
+/// Throws SwfParseError for a short record or a field that is not a
+/// number, is not finite, exceeds 2^53 in magnitude, or (for integer
+/// fields) does not fit its type.
 SwfTrace parse_swf(std::istream& in);
 SwfTrace parse_swf_text(const std::string& text);
 /// Throws std::runtime_error when the file cannot be opened.

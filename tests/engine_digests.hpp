@@ -1,12 +1,12 @@
-// Outcome-digest harness shared by the calendar-queue equivalence tests.
+// Outcome-digest harness shared by the engine equivalence tests.
 //
-// The engine rewrite (calendar event list + generation-tagged slots) must
-// be *bit-identical* in outcome to the old priority-queue engine, not
-// just "statistically similar".  These helpers reduce a full run to a
-// text digest — every job's lifecycle timestamps at %.17g (round-trip
-// exact for doubles) plus run-level counters — and hash it with FNV-1a
-// so golden values captured from the pre-change engine can be embedded
-// as constants and compared forever after.
+// Any change to the event list or to how the driver schedules events
+// must be *bit-identical* in outcome to the original priority-queue
+// engine, not just "statistically similar".  These helpers reduce a full
+// run to a text digest — every job's lifecycle timestamps at %.17g
+// (round-trip exact for doubles) plus run-level counters — and hash it
+// with FNV-1a, so golden values captured from the pre-change engine can
+// be embedded as constants and compared forever after.
 //
 // Three paths cover the three ways the engine gets driven:
 //   - single-cluster batch (WorkloadDriver on one 20-node manager),

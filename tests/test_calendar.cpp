@@ -1,6 +1,7 @@
-// Calendar-queue engine tests: ordering contract, generation safety and
-// the golden outcome digests pinning the rewrite to the pre-change
-// (priority-queue) engine, bit for bit.
+// Event-engine tests (named after the calendar queue the 4-ary heap later
+// replaced): ordering contract, generation safety and the golden outcome
+// digests pinning every rewrite to the original priority-queue engine,
+// bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,7 +71,7 @@ TEST(CalendarGolden, ServiceReplaySeedSweep) {
 }
 
 // The engine's ordering contract: events fire in ascending (time, lane,
-// sequence) order no matter how the calendar buckets them.  Random
+// sequence) order no matter how the queue stores them.  Random
 // schedule/cancel interleavings — including schedules issued from inside
 // running callbacks — are checked against a reference sort of exactly
 // the surviving (time, lane, seq) keys.
@@ -106,8 +107,7 @@ OrderingRun expect_reference_order(const OrderingInput& input) {
   std::vector<Key> keys;
   int issued = 0;
 
-  // Time spans from "immediate" through several year re-anchors:
-  // exponents reach ~2^40 seconds, far beyond any initial ring span.
+  // Time spans from "immediate" to ~2^40 seconds ahead.
   auto random_time = [&](double at_least) {
     const double exponent = std::uniform_real_distribution<>(0.0, 40.0)(rng);
     return at_least + std::exp2(exponent) - 1.0;
@@ -139,8 +139,7 @@ OrderingRun expect_reference_order(const OrderingInput& input) {
     ids.push_back(kInvalidEvent);  // keep indices aligned; not cancellable
   }
   if (input.pause_at > 0.0) {
-    // Draining ring years merges the overflow list into a sorted
-    // prefix; the events scheduled next add an unsorted appendix.
+    // Pause mid-run, then schedule more from the paused clock.
     engine.run_until(input.pause_at);
     for (int i = 0; i < input.more; ++i) schedule_one(engine.now());
   }
@@ -178,10 +177,9 @@ TEST(CalendarOrdering, RandomScheduleCancelMatchesReferenceSort) {
     expect_reference_order({round * 7919 + 13, 400, 30, 0.0, 0, 1, 3});
   }
   // Cancel three in four of 3000 + 1500 events: more than the sweep floor
-  // (1024) and than the live set, so sweep_stale compacts the calendar
-  // while live events sit in ring days and in an overflow list with a
-  // sorted prefix and an unsorted appendix.  A wrong sorted-prefix
-  // length after the compaction misorders the next merge.
+  // (1024) and than the live set, so sweep_stale compacts and
+  // re-heapifies the queue while live events remain queued far ahead.
+  // A broken re-heapify misorders the dispatches that follow.
   const OrderingRun run =
       expect_reference_order({2017, 3000, 0, 1.0e4, 1500, 3, 4});
   EXPECT_GT(run.cancels, 1024);
@@ -331,9 +329,8 @@ TEST(CalendarOrdering, SpansFireWhereTheirLastLinkWould) {
   }
 }
 
-// Far-future events force year re-anchoring (advance_year): the ring
-// only spans a finite window, so a horizon jump must re-bucket and keep
-// firing in order.
+// Far-future events fifteen orders of magnitude apart keep firing in
+// order (a windowed queue must re-anchor across every gap).
 TEST(CalendarOrdering, FarFutureYearAdvance) {
   Engine engine;
   std::vector<double> fired;
@@ -342,7 +339,7 @@ TEST(CalendarOrdering, FarFutureYearAdvance) {
   for (const double t : times) {
     engine.schedule_at(t, [&fired, t] { fired.push_back(t); });
   }
-  // Interleave near-term chatter so the first year is non-trivial.
+  // Interleave near-term chatter ahead of the far-future events.
   for (int i = 0; i < 100; ++i) {
     engine.schedule_at(0.5 + 0.001 * i, [] {});
   }

@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/models.hpp"
 #include "drv/workload_driver.hpp"
@@ -525,6 +528,99 @@ TEST(Driver, StaleSubmissionIsRejectedNotReordered) {
                            /*flexible=*/false));
   engine.run();
   EXPECT_EQ(driver.completed(), 2);
+}
+
+TEST(Driver, NonFiniteArrivalIsRejectedWithTheJobNamed) {
+  sim::Engine engine;
+  WorkloadDriver driver(engine, small_config(8));
+  for (const double arrival : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    try {
+      driver.add(named(fs_plan(arrival, 2, 20.0, 2, false), "odd"));
+      FAIL() << "non-finite arrival accepted by add()";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("job 'odd'"),
+                std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find("non-finite arrival"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW(driver.submit_at(fs_plan(arrival, 2, 20.0, 2, false)),
+                 std::invalid_argument);
+  }
+  driver.add(fs_plan(1.0, 2, 20.0, 2, false));
+  EXPECT_EQ(driver.run().jobs, 1);
+}
+
+/// Records user-job submissions in order and samples the engine's queue
+/// footprint at every dispatch, against the running-job high-water mark.
+class ArrivalProbe : public obs::Sink {
+ public:
+  explicit ArrivalProbe(const sim::Engine& engine)
+      : obs::Sink(obs::kSubmitted | obs::kStarted | obs::kFinished |
+                  obs::kDispatched),
+        engine_(engine) {}
+  void submitted(const obs::JobFact& f) override {
+    names.push_back(f.job.spec.name);
+    ids.push_back(f.job.id);
+  }
+  void started(const obs::JobFact&) override {
+    max_running = std::max(max_running, ++running);
+  }
+  void finished(const obs::JobFact&) override { --running; }
+  void dispatched(const obs::DispatchFact&) override {
+    max_footprint = std::max(max_footprint, engine_.queue_footprint());
+  }
+
+  std::vector<std::string> names;
+  std::vector<rms::JobId> ids;
+  std::size_t running = 0;
+  std::size_t max_running = 0;
+  std::size_t max_footprint = 0;
+
+ private:
+  const sim::Engine& engine_;
+};
+
+// The batch driver streams arrivals through one pending event: jobs are
+// submitted in arrival order, same-instant arrivals in add() order (a
+// stable sort), and the event queue holds about one entry per running
+// job rather than the whole backlog.
+TEST(Driver, ArrivalCursorSubmitsInStableArrivalOrder) {
+  constexpr int kJobs = 5000;
+  sim::Engine engine;
+  WorkloadDriver driver(engine, small_config(64));
+  ArrivalProbe probe(engine);
+  driver.attach(probe);
+  std::vector<std::pair<double, std::string>> added;
+  for (int i = 0; i < kJobs; ++i) {
+    // A scrambled add order over 997 instants: ~5 arrivals tie on each.
+    const double arrival = static_cast<double>((i * 7919) % 997);
+    const int size = 1 + i % 4;
+    const std::string name = "j" + std::to_string(i);
+    JobPlan plan = fs_plan(arrival, size, 2.0 + i % 3, 1, false);
+    plan.model.name = name;
+    driver.add(std::move(plan));
+    added.emplace_back(arrival, name);
+  }
+  using Added = std::pair<double, std::string>;
+  std::stable_sort(added.begin(), added.end(),
+                   [](const Added& a, const Added& b) {
+                     return a.first < b.first;
+                   });
+  const WorkloadMetrics metrics = driver.run();
+  EXPECT_EQ(metrics.jobs, kJobs);
+  ASSERT_EQ(probe.names.size(), static_cast<std::size_t>(kJobs));
+  for (int k = 0; k < kJobs; ++k) {
+    const auto index = static_cast<std::size_t>(k);
+    ASSERT_EQ(probe.names[index], added[index].second) << "submission " << k;
+    EXPECT_EQ(probe.ids[index], probe.ids[0] + static_cast<rms::JobId>(k));
+  }
+  // One pending event per running job, plus the cursor's next arrival
+  // and the entry being dispatched.
+  EXPECT_GT(probe.max_running, 0u);
+  EXPECT_LE(probe.max_footprint, probe.max_running + 2);
 }
 
 DriverConfig heterogeneous_config() {

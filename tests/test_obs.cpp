@@ -343,6 +343,25 @@ TEST(Profiler, ReportFoldsAccumulatorsAndRss) {
   EXPECT_NE(row.find("\"peak_rss_kb\":"), std::string::npos);
 }
 
+// A schedule pass well under a microsecond still prints its value in the
+// bench row instead of rounding to 0.000000.
+TEST(Profiler, SubMicrosecondPassKeepsSignificantDigits) {
+  obs::ProfileReport report;
+  report.schedule_passes = 4;
+  report.schedule_seconds = 1.0e-6;
+  report.seconds_per_pass = 2.5e-7;
+  const std::string row = report.json_fields();
+  EXPECT_NE(row.find("\"seconds_per_pass\":2.5e-07,"), std::string::npos)
+      << row;
+  EXPECT_NE(row.find("\"schedule_seconds\":0.000001,"), std::string::npos)
+      << row;
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json("{" + row + "}", parsed, error)) << error;
+  EXPECT_DOUBLE_EQ(obs::json_number(parsed.field("seconds_per_pass"), 0.0),
+                   2.5e-7);
+}
+
 // --- provenance -------------------------------------------------------------
 
 TEST(BuildInfo, ProvenanceFieldsAreRenderable) {

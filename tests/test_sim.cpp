@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -51,6 +52,22 @@ TEST(Engine, RejectsPastAndNegative) {
   engine.run();
   EXPECT_THROW(engine.schedule_at(5.0, [] {}), std::invalid_argument);
   EXPECT_THROW(engine.schedule_after(-1.0, [] {}), std::invalid_argument);
+}
+
+// A non-finite time would never fire (inf) or break the queue's total
+// order (NaN): every schedule_* entry point refuses it.
+TEST(Engine, RejectsNonFiniteTimes) {
+  Engine engine;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(engine.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(engine.schedule_at(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(engine.schedule_after(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(engine.schedule_after(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(engine.schedule_span(0.0, inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(engine.schedule_span(inf, 1.0, [] {}), std::invalid_argument);
+  EXPECT_EQ(engine.queued(), 0u);
+  EXPECT_EQ(engine.queue_footprint(), 0u);
 }
 
 TEST(Engine, ScheduleSpanTiesAsItsLinksWould) {
@@ -297,54 +314,10 @@ TEST(Engine, OversizedCaptureFiresCancelsAndIsDestroyed) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(PeriodicTask, FiresUntilPredicateFalse) {
-  Engine engine;
-  int fires = 0;
-  PeriodicTask task(engine, 5.0, [&] { return ++fires < 4; });
-  task.start(1.0);
-  engine.run();
-  EXPECT_EQ(fires, 4);
-  EXPECT_DOUBLE_EQ(engine.now(), 16.0);  // 1, 6, 11, 16
-}
-
-TEST(PeriodicTask, StopCancelsFutureFires) {
-  Engine engine;
-  int fires = 0;
-  PeriodicTask task(engine, 1.0, [&] { ++fires; return true; });
-  task.start(0.0);
-  engine.schedule_at(3.5, [&] { task.stop(); });
-  engine.run();
-  EXPECT_EQ(fires, 4);  // t = 0, 1, 2, 3
-}
-
-TEST(PeriodicTask, RejectsNonPositivePeriod) {
-  Engine engine;
-  EXPECT_THROW(PeriodicTask(engine, 0.0, [] { return false; }),
-               std::invalid_argument);
-}
-
-// Regression: tick k must fire at first + k*period in closed form.  The
-// former `now + period` reschedule accumulated one rounding error per
-// tick — with the non-representable period 0.1, a million periods
-// drifted the clock visibly off k/10.
-TEST(PeriodicTask, NoDriftOverAMillionPeriods) {
-  Engine engine;
-  constexpr std::uint64_t kTicks = 1000000;
-  std::uint64_t fires = 0;
-  PeriodicTask task(engine, 0.1, [&] { return ++fires < kTicks; });
-  task.start(0.1);
-  engine.run();
-  EXPECT_EQ(fires, kTicks);
-  // The closed form lands within an ulp or two of k/10; the repeated
-  // `now + period` reschedule it replaced accumulated ~1e-6 of drift
-  // over this horizon — six orders of magnitude past this bound.
-  EXPECT_NEAR(engine.now(), static_cast<double>(kTicks) * 0.1, 1.0e-9);
-}
-
 // Eager reclamation: cancelling an event hands its slot back and, when
-// cancels outnumber live events, sweeps the never-reached calendar
-// entries too — queued() is exact and the footprint shrinks instead of
-// retaining every far-future corpse until its day is reached.
+// cancels outnumber live events, sweeps the never-reached queue entries
+// too — queued() is exact and the footprint shrinks instead of retaining
+// every far-future corpse until it reaches the top.
 TEST(EngineCancel, FarFutureCancelsReclaimEagerly) {
   Engine engine;
   constexpr int kEvents = 10000;

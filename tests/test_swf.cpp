@@ -122,6 +122,39 @@ TEST(SwfParse, NonNumericFieldReportsLineAndField) {
   }
 }
 
+// Non-finite and out-of-range numbers fail at the parser with the line
+// and field named, instead of reaching the replay (NaN arrivals used to
+// abort it, infinite or 1e308 ones to stall it, and an oversized proc
+// count was narrowed without a check).
+void expect_out_of_range(std::size_t field, const std::string& token,
+                         const std::string& name) {
+  std::vector<std::string> fields(18, "1");
+  fields[field] = token;
+  std::string record;
+  for (const std::string& value : fields) record += value + " ";
+  try {
+    parse_swf_text("1 0 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0\n" + record);
+    ADD_FAILURE() << name << "=" << token << ": expected SwfParseError";
+  } catch (const SwfParseError& error) {
+    EXPECT_EQ(error.line(), 2) << name << "=" << token;
+    const std::string what = error.what();
+    EXPECT_NE(what.find("(" + name + ") is out of range"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(token), std::string::npos) << what;
+  }
+}
+
+TEST(SwfParse, NonFiniteAndOverflowingFieldsReportLineAndField) {
+  expect_out_of_range(1, "nan", "submit");
+  expect_out_of_range(1, "inf", "submit");
+  expect_out_of_range(1, "1e308", "submit");
+  expect_out_of_range(3, "nan", "run_time");
+  expect_out_of_range(3, "inf", "run_time");
+  expect_out_of_range(3, "1e308", "run_time");
+  expect_out_of_range(4, "12345678901234567890", "used_procs");
+  expect_out_of_range(7, "3000000000", "requested_procs");
+}
+
 TEST(SwfParse, ExtraTrailingFieldsTolerated) {
   const SwfTrace trace = parse_swf_text(
       "1 0 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0 99 98\n");
